@@ -64,9 +64,6 @@ class DelayLine:
     def for_channel(cls, ch: ChannelModel) -> "DelayLine":
         return cls(ch.max_delay)
 
-    def reset(self) -> None:
-        self.buffer[:] = 0
-
 
 def apply_multipath(x, ch: ChannelModel, state: DelayLine) -> np.ndarray:
     """Streaming FIR filter; past samples come from (and update) the delay line.

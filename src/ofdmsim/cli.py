@@ -14,7 +14,7 @@ import sys
 from .channel import ChannelModel, load_channel_profile
 from .errors import InvalidConfiguration, OfdmSimError
 from .harness import SweepSpec, run_sweep, write_csv
-from .modem import build_constellation, write_constellation_csv
+from .modem import _AXIS_BITS, build_constellation, write_constellation_csv
 from .ofdm import OfdmConfig
 
 _DEFAULTS = {
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo bit-error-rate sweeps for a QAM/OFDM link.",
     )
     p.add_argument("--subchannels", type=int, help="number of subcarriers N, power of 2 (default 256)")
-    p.add_argument("--order", type=int, choices=(4, 8, 16), help="modulation order (default 4)")
+    p.add_argument("--order", type=int, choices=tuple(_AXIS_BITS), help="modulation order (default 4)")
     p.add_argument("--snr-start", type=float, help="first SNR in dB (default 0)")
     p.add_argument("--snr-stop", type=float, help="last SNR in dB (default 27)")
     p.add_argument("--snr-step", type=float, help="SNR grid step in dB (default 3)")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel, DelayLine, add_awgn, apply_multipath, signal_power
-from .errors import InvalidConfiguration, UnsupportedOrder
+from .errors import InvalidConfiguration
 from .modem import Constellation, build_constellation, demap_symbols, map_bits
 from .numerics import RngStream, q_function, seeded_stream
 from .ofdm import (
@@ -54,6 +54,8 @@ class SweepSpec:
     channel: ChannelModel = field(default_factory=ChannelModel.identity)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.snr_start_db, self.snr_stop_db, self.snr_step_db))):
+            raise InvalidConfiguration("snr_start_db, snr_stop_db and snr_step_db must be finite")
         if self.snr_start_db > self.snr_stop_db:
             raise InvalidConfiguration("snr_start_db must be <= snr_stop_db")
         if not self.snr_step_db > 0:
@@ -83,9 +85,7 @@ class SweepResult:
 
 
 def bits_per_symbol(order: int) -> int:
-    if order not in (4, 8, 16):
-        raise UnsupportedOrder(f"modulation order must be one of 4, 8, 16; got {order}")
-    return order.bit_length() - 1
+    return build_constellation(order).bits_per_symbol  # validates order
 
 
 def eb_n0_offset_db(cfg: OfdmConfig) -> float:

@@ -24,11 +24,10 @@ from .errors import (
     SingularChannelGain,
     UnsupportedOrder,
 )
+from .modem import _AXIS_BITS
 from .numerics import RngStream
 
 PILOT_PATTERNS = ("block", "comb", "random")
-
-_SUPPORTED_ORDERS = (4, 8, 16)
 
 # child-stream tags used by the allocator (derived from the caller's stream)
 _TAG_INDICES = 101
@@ -72,8 +71,8 @@ class OfdmConfig:
             raise PilotCountExceedsN(f"pilot_count {self.pilot_count} must be < {n}")
         if self.pilot_count < 0:
             raise InvalidConfiguration(f"pilot_count must be >= 0, got {self.pilot_count}")
-        if self.mod_order not in _SUPPORTED_ORDERS:
-            raise UnsupportedOrder(f"mod_order must be one of {_SUPPORTED_ORDERS}, got {self.mod_order}")
+        if self.mod_order not in _AXIS_BITS:
+            raise UnsupportedOrder(f"mod_order must be one of {tuple(_AXIS_BITS)}, got {self.mod_order}")
         if self.block_period < 1:
             raise InvalidConfiguration(f"block_period must be >= 1, got {self.block_period}")
         if self.bandwidth_hz is not None and not self.bandwidth_hz > 0:
@@ -139,8 +138,6 @@ def allocate_subcarriers(cfg: OfdmConfig, symbol_index: int, rng: RngStream) -> 
     """
     n = cfg.n_subchannels
     count = cfg.pilot_count
-    if count > n:
-        raise PilotCountExceedsN(f"pilot_count {count} exceeds {n} subchannels")
     if cfg.pilot_pattern == "block":
         if symbol_index % cfg.block_period == 0:
             pilots = np.arange(n, dtype=np.intp)

@@ -70,6 +70,16 @@ def test_bad_flag_value_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--snr-start", "--snr-stop", "--snr-step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_snr_exits_two(tmp_path, capsys, flag, value):
+    out = tmp_path / "result.csv"
+    assert main(_args(out, (f"{flag}={value}",))) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+    assert not out.exists()
+
+
 def test_unwritable_output_is_io_failure(tmp_path):
     out = tmp_path / "missing_dir" / "result.csv"
     assert main(_args(out)) == 3

@@ -43,6 +43,10 @@ def test_spec_validation():
         _spec(snr_step_db=0.0)
     with pytest.raises(InvalidConfiguration):
         _spec(iterations=0)
+    for field in ("snr_start_db", "snr_stop_db", "snr_step_db"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidConfiguration):
+                _spec(**{field: value})
 
 
 def test_eb_n0_offset():

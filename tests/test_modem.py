@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsim.errors import LengthNotDivisible, UnsupportedOrder
 from ofdmsim.modem import (
@@ -14,6 +16,22 @@ from ofdmsim.modem import (
 from ofdmsim.numerics import q_function, seeded_stream
 
 S2, S6, S10 = math.sqrt(2), math.sqrt(6), math.sqrt(10)
+
+
+def _demapped_labels(symbols, c):
+    k = c.bits_per_symbol
+    bits = demap_symbols(symbols, c).reshape(-1, k).astype(np.intp)
+    return (bits << np.arange(k - 1, -1, -1)).sum(axis=1)
+
+
+def _oracle(symbols, c):
+    """Brute-force argmin |s - p|^2 over every point: (labels, unique), where
+    unique is False wherever another point is within 1e-12 of the minimum
+    distance; at such ties the label is the lowest of the equidistant ones."""
+    diff = np.asarray(symbols, dtype=np.complex128)[:, np.newaxis] - c.points
+    d = diff.real**2 + diff.imag**2
+    near = d - d.min(axis=1, keepdims=True) < 1e-12
+    return np.argmax(near, axis=1), near.sum(axis=1) == 1
 
 
 def test_order4_point_set():
@@ -167,6 +185,45 @@ def test_demap_tie_breaks_to_lowest_label():
     got = demap_symbols(np.array([0j]), c)
     label = int("".join(map(str, got)), 2)
     assert label == candidates.min() == 5
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_demap_matches_oracle_on_dense_grid(order):
+    c = build_constellation(order)
+    axis = np.linspace(-2.0, 2.0, 401)
+    s = (axis[:, np.newaxis] + 1j * axis).ravel()
+    labels, unique = _oracle(s, c)
+    assert unique.mean() > 0.9
+    assert np.array_equal(_demapped_labels(s, c)[unique], labels[unique])
+
+
+@settings(deadline=None)
+@given(
+    order=st.sampled_from([4, 8, 16]),
+    symbols=st.lists(
+        st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6),
+        min_size=1,
+        max_size=64,
+    ),
+)
+def test_demap_matches_oracle_property(order, symbols):
+    c = build_constellation(order)
+    labels, unique = _oracle(symbols, c)
+    assert np.array_equal(_demapped_labels(symbols, c)[unique], labels[unique])
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_demap_ties_on_every_threshold_and_crossing(order):
+    # inputs on every per-axis midpoint and at every level, in all
+    # combinations: single-axis ties, 2-D crossings and exact points
+    c = build_constellation(order)
+    coords = []
+    for levels in (np.unique(c.points.real), np.unique(c.points.imag)):
+        coords.append(np.concatenate([levels, (levels[:-1] + levels[1:]) / 2]))
+    s = (coords[0][:, np.newaxis] + 1j * coords[1]).ravel()
+    labels, unique = _oracle(s, c)
+    assert not unique.all()
+    assert np.array_equal(_demapped_labels(s, c), labels)
 
 
 def test_single_carrier_qpsk_awgn_matches_q_function():
