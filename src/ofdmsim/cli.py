@@ -30,6 +30,7 @@ _DEFAULTS = {
     "pilot_count": None,
     "channel": None,
     "seed": 1,
+    "workers": 1,
     "out": None,
 }
 
@@ -46,6 +47,7 @@ _TYPES = {
     "pilot_count": int,
     "channel": str,
     "seed": int,
+    "workers": int,
     "out": str,
 }
 
@@ -67,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pilot-count", type=int, help="pilot subcarriers per symbol (default N/8)")
     p.add_argument("--channel", metavar="PATH", help="channel profile file (default: single unit tap)")
     p.add_argument("--seed", type=int, help="random seed (default 1)")
+    p.add_argument("--workers", type=int, help="worker processes per SNR point (default 1)")
     p.add_argument("--out", metavar="PATH", help="write the sweep CSV here")
     p.add_argument("--config", metavar="PATH", help="key = value file mirroring the flags above")
     p.add_argument(
@@ -145,6 +148,8 @@ def _run(argv) -> int:
             write_constellation_csv(const, sys.stdout)
         return 0
 
+    if settings["workers"] < 1:
+        raise InvalidConfiguration(f"workers must be >= 1, got {settings['workers']}")
     channel = ChannelModel.identity()
     if settings["channel"]:
         channel = load_channel_profile(settings["channel"])
@@ -166,7 +171,7 @@ def _run(argv) -> int:
         seed=settings["seed"],
         channel=channel,
     )
-    result = run_sweep(spec)
+    result = run_sweep(spec, workers=settings["workers"])
     _print_summary(result)
     if settings["out"]:
         write_csv(result, settings["out"])

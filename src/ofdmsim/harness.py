@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel, DelayLine, add_awgn, apply_multipath, signal_power
-from .errors import InvalidConfiguration
+from .errors import InvalidConfiguration, SingularChannelGain
 from .modem import Constellation, build_constellation, demap_symbols, map_bits
 from .numerics import RngStream, q_function, seeded_stream
 from .ofdm import (
     OfdmConfig,
     allocate_subcarriers,
     channel_frequency_response,
+    data_bins,
     equalize,
     extract_data,
     ofdm_demodulate,
@@ -37,6 +38,15 @@ from .ofdm import (
 _TAG_BITS = 1
 _TAG_NOISE = 2
 _TAG_ALLOC = 3
+
+# Iterations run in chunks of about this many time samples, each chunk as one
+# frame tensor, so allocation, transforms, equalization and demapping cost
+# one call per chunk. At N = 64 with 10 symbols a chunk holds 5 iterations;
+# from N = 256 up it holds one, so long rows take no more memory than before.
+_CHUNK_SAMPLES = 4096
+
+# a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
+MAX_SNR_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -60,10 +70,15 @@ class SweepSpec:
             raise InvalidConfiguration("snr_start_db must be <= snr_stop_db")
         if not self.snr_step_db > 0:
             raise InvalidConfiguration("snr_step_db must be > 0")
+        if _snr_steps(self) >= MAX_SNR_POINTS:
+            raise InvalidConfiguration(f"the SNR grid must have at most {MAX_SNR_POINTS} points")
         if self.iterations < 1:
             raise InvalidConfiguration("iterations must be >= 1")
         if self.symbols_per_iteration < 1:
             raise InvalidConfiguration("symbols_per_iteration must be >= 1")
+        h = channel_frequency_response(self.channel, self.cfg.n_subchannels)
+        if np.any(np.abs(h[data_bins(self.cfg, self.symbols_per_iteration)]) < 1e-12):
+            raise SingularChannelGain("channel response is zero on a subcarrier that carries data")
 
 
 @dataclass(frozen=True)
@@ -118,62 +133,56 @@ def analytic_ber(order: int, eb_n0_db: float) -> float | None:
     return 0.75 * q_function(math.sqrt(0.8 * gamma_b))
 
 
+def _snr_steps(spec: SweepSpec) -> float:
+    """Grid steps from start to stop; the grid has floor of this plus one points."""
+    return (spec.snr_stop_db - spec.snr_start_db) / spec.snr_step_db + 1e-9
+
+
 def snr_grid(spec: SweepSpec) -> list[float]:
-    count = int(math.floor((spec.snr_stop_db - spec.snr_start_db) / spec.snr_step_db + 1e-9)) + 1
+    count = math.floor(_snr_steps(spec)) + 1
     return [spec.snr_start_db + i * spec.snr_step_db for i in range(count)]
 
 
-def _iteration_counts(
-    spec: SweepSpec, snr_db: float, iteration: int, const: Constellation, h: np.ndarray
+def _frame_chunk(
+    spec: SweepSpec, snr_db: float, iterations: range, const: Constellation, h: np.ndarray
 ) -> tuple[int, int]:
-    """Transmit and receive one frame; return (bit_errors, data_bits)."""
+    """Transmit and receive the frames of a run of iterations as one
+    (iterations x symbols, N) tensor; return (bit_errors, data_bits)."""
     cfg = spec.cfg
-    n = cfg.n_subchannels
     n_sym = spec.symbols_per_iteration
-    rng = seeded_stream(spec.seed, iteration)
-    bits_rng = rng.child(_TAG_BITS)
-    noise_rng = rng.child(_TAG_NOISE)
-    alloc_rng = rng.child(_TAG_ALLOC)
+    streams = [seeded_stream(spec.seed, i) for i in iterations]
+    smap = allocate_subcarriers(cfg, range(n_sym), [s.child(_TAG_ALLOC) for s in streams])
+    frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
+    tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
 
-    maps = [allocate_subcarriers(cfg, j, alloc_rng) for j in range(n_sym)]
-    counts = [m.data_indices.size for m in maps]
-    total_data = sum(counts)
-    total_bits = const.bits_per_symbol * total_data
-    tx_bits = bits_rng.bits(total_bits)
-    data_syms = map_bits(tx_bits, const)
+    grid = np.zeros((len(streams) * n_sym, cfg.n_subchannels), dtype=np.complex128)
+    flat = grid.reshape(-1)
+    flat[smap.data_indices] = map_bits(tx_bits, const)
+    flat[smap.pilot_indices] = smap.pilot_values
 
-    grid = np.zeros((n_sym, n), dtype=np.complex128)
-    offset = 0
-    for j, smap in enumerate(maps):
-        grid[j, smap.data_indices] = data_syms[offset : offset + counts[j]]
-        grid[j, smap.pilot_indices] = smap.pilot_values
-        offset += counts[j]
+    # the channel sees one frame at a time: fresh delay line, own noise stream
+    tx = ofdm_modulate(grid, cfg).reshape(len(streams), -1)
+    rx = np.empty_like(tx)
+    for frame, s in enumerate(streams):
+        faded = apply_multipath(tx[frame], spec.channel, DelayLine.for_channel(spec.channel))
+        rx[frame] = add_awgn(faded, snr_db, signal_power(tx[frame]), s.child(_TAG_NOISE))
 
-    tx = ofdm_modulate(grid, cfg).ravel()
-    state = DelayLine.for_channel(spec.channel)
-    faded = apply_multipath(tx, spec.channel, state)
-    rx = add_awgn(faded, snr_db, signal_power(tx), noise_rng)
-
-    fgrid = ofdm_demodulate(rx.reshape(n_sym, cfg.samples_per_symbol), cfg)
-    rx_syms = np.empty(total_data, dtype=np.complex128)
-    offset = 0
-    for j, smap in enumerate(maps):
-        eq = equalize(fgrid[j], h, used=smap.data_indices)
-        rx_syms[offset : offset + counts[j]] = extract_data(eq, smap)
-        offset += counts[j]
-
+    fgrid = ofdm_demodulate(rx.reshape(grid.shape[0], -1), cfg)
+    h_data = h[smap.data_indices % cfg.n_subchannels]
+    rx_syms = equalize(extract_data(fgrid.reshape(-1), smap), h_data)
     rx_bits = demap_symbols(rx_syms, const)
-    return int(np.count_nonzero(rx_bits != tx_bits)), total_bits
+    return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
 
 
 def _point_chunk(args) -> tuple[int, int]:
     spec, snr_db, lo, hi = args
     const = build_constellation(spec.cfg.mod_order)
     h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
+    step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
     errors = 0
     bits = 0
-    for i in range(lo, hi):
-        e, b = _iteration_counts(spec, snr_db, i, const, h)
+    for a in range(lo, hi, step):
+        e, b = _frame_chunk(spec, snr_db, range(a, min(a + step, hi)), const, h)
         errors += e
         bits += b
     return errors, bits

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,6 +26,21 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a fixed 128-bit key as the two uint64 words it asks its
+    seed sequence for. Philox(key=...) gives the same generator but first
+    builds and discards an OS-entropy SeedSequence, which costs more than
+    the rest of the set-up, and small-N frames set up dozens of streams."""
+
+    def __init__(self, seed: int, stream_id: int):
+        self.words = np.array([seed, stream_id], dtype=np.uint64)  # key = stream_id << 64 | seed
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise NotImplementedError(f"Philox asked for {n_words} {np.dtype(dtype)} words")
+        return self.words
 
 
 class RngStream:
@@ -40,9 +56,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = (self.stream_id << 64) | self.seed
-        # explicit counter skips the entropy-pool setup numpy does otherwise
-        self._gen = np.random.Generator(np.random.Philox(counter=0, key=key))
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -10,6 +10,7 @@ channel frequency response, which the equalizer divides back out.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,22 +112,56 @@ class OfdmConfig:
 
 @dataclass(frozen=True, eq=False)
 class SubcarrierMap:
-    """Disjoint pilot/data index sets covering 0..N-1, plus known pilot values."""
+    """Disjoint pilot/data index sets covering every bin, plus known pilot values.
+
+    For one symbol the indices are bins 0..N-1. For a frame tensor of R
+    symbols they are flat indices into its raveled (R, N) grid, ascending,
+    so row r, bin k is r*N + k; pilot values follow pilot_indices.
+    """
 
     pilot_indices: np.ndarray
     data_indices: np.ndarray
     pilot_values: np.ndarray
 
 
-def _qpsk_pilot_values(rng: RngStream, count: int) -> np.ndarray:
-    u = rng.uniforms(2 * count)
-    re = np.where(u[0::2] < 0.5, 1.0, -1.0)
-    im = np.where(u[1::2] < 0.5, 1.0, -1.0)
-    return (re + 1j * im) * _INV_SQRT2
+def _fixed_pilots(cfg: OfdmConfig, symbols: range) -> np.ndarray:
+    """(len(symbols), N) pilot mask where the pattern alone fixes it:
+    block, comb, and random without pilots."""
+    n = cfg.n_subchannels
+    is_pilot = np.zeros((len(symbols), n), dtype=bool)
+    if cfg.pilot_pattern == "block":
+        is_pilot[[j % cfg.block_period == 0 for j in symbols]] = True
+    elif cfg.pilot_pattern == "comb" and cfg.pilot_count:
+        # round half to even, as Python's round(i * n / count)
+        comb = np.rint(np.arange(cfg.pilot_count) * n / cfg.pilot_count).astype(np.intp)
+        is_pilot[:, comb] = True
+    return is_pilot
 
 
-def allocate_subcarriers(cfg: OfdmConfig, symbol_index: int, rng: RngStream) -> SubcarrierMap:
-    """Pick pilot and data subcarriers for one OFDM symbol.
+@functools.lru_cache(maxsize=16)
+def _fixed_layout(
+    cfg: OfdmConfig, symbols: range, frames: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pilot and data flat indices of `frames` frames of a fixed layout."""
+    is_pilot = np.tile(_fixed_pilots(cfg, symbols), (frames, 1))
+    layout = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def data_bins(cfg: OfdmConfig, n_symbols: int) -> np.ndarray:
+    """Mask of the bins that carry data in some symbol of an n_symbols
+    frame; random pilots can leave any bin to data."""
+    if cfg.pilot_pattern == "random":
+        return np.ones(cfg.n_subchannels, dtype=bool)
+    return ~_fixed_pilots(cfg, range(n_symbols)).all(axis=0)
+
+
+def allocate_subcarriers(
+    cfg: OfdmConfig, symbol_index: int | range, rng: RngStream | Sequence[RngStream]
+) -> SubcarrierMap:
+    """Pick pilot and data subcarriers for one OFDM symbol, or for a frame tensor.
 
     block:  every block_period-th symbol is all pilots, the rest all data.
     comb:   fixed evenly spaced pilot indices round(i*N/pilot_count).
@@ -135,25 +170,38 @@ def allocate_subcarriers(cfg: OfdmConfig, symbol_index: int, rng: RngStream) -> 
 
     Pilot values are known unit-energy QPSK points from a dedicated
     substream; the caller's stream state is never consumed.
+
+    One symbol index and one stream give that symbol's map over bins
+    0..N-1. A range of symbol indices and a sequence of F streams, one per
+    frame, give the map of the (F * len(range), N) frame tensor, frame-major;
+    each of its rows is what the one-symbol call gives for that stream and
+    symbol index.
     """
+    if isinstance(symbol_index, range):
+        symbols, streams = symbol_index, tuple(rng)
+    else:
+        symbols, streams = range(symbol_index, symbol_index + 1), (rng,)
     n = cfg.n_subchannels
     count = cfg.pilot_count
+    if cfg.pilot_pattern == "random" and count:
+        u = np.stack([s.child(_TAG_INDICES, j).uniforms(n) for s in streams for j in symbols])
+        is_pilot = np.zeros(u.shape, dtype=bool)
+        np.put_along_axis(is_pilot, np.argsort(u, axis=1, kind="stable")[:, :count], True, axis=1)
+        pilots, data = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
+    else:
+        pilots, data = _fixed_layout(cfg, symbols, len(streams))
     if cfg.pilot_pattern == "block":
-        if symbol_index % cfg.block_period == 0:
-            pilots = np.arange(n, dtype=np.intp)
-        else:
-            pilots = np.empty(0, dtype=np.intp)
-    elif cfg.pilot_pattern == "comb":
-        pilots = np.array([round(i * n / count) for i in range(count)], dtype=np.intp)
-    else:  # random
-        draw = rng.child(_TAG_INDICES, symbol_index)
-        order = np.argsort(draw.uniforms(n), kind="stable")
-        pilots = np.sort(order[:count])
-    mask = np.ones(n, dtype=bool)
-    mask[pilots] = False
-    data = np.flatnonzero(mask)
+        valued, per_symbol = [j for j in symbols if j % cfg.block_period == 0], n
+    else:
+        valued, per_symbol = symbols, count
     if pilots.size:
-        values = _qpsk_pilot_values(rng.child(_TAG_VALUES, symbol_index), pilots.size)
+        # one (re, im) sign pair per pilot, from its symbol's value substream
+        u = np.concatenate(
+            [s.child(_TAG_VALUES, j).uniforms(2 * per_symbol) for s in streams for j in valued]
+        )
+        re = np.where(u[0::2] < 0.5, 1.0, -1.0)
+        im = np.where(u[1::2] < 0.5, 1.0, -1.0)
+        values = (re + 1j * im) * _INV_SQRT2
     else:
         values = np.empty(0, dtype=np.complex128)
     return SubcarrierMap(pilot_indices=pilots, data_indices=data, pilot_values=values)

@@ -135,3 +135,48 @@ def test_emit_constellation_to_file(tmp_path):
     assert len(lines) == 5
     s2 = 1 / math.sqrt(2)
     assert lines[1] == f"0,00,{s2!r},{s2!r}"
+
+
+def test_spectral_null_fails_before_any_sweep(tmp_path, capsys):
+    profile = tmp_path / "null.txt"
+    profile.write_text("0 1 0\n1 1 0\n")
+    out = tmp_path / "result.csv"
+    assert main(_args(out, ("--channel", str(profile), "--pilot-count", "0"))) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_tiny_snr_step_exits_two(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    assert main(_args(out, ("--snr-step", "1e-300"))) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_workers_flag_keeps_csv_bytes(tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(_args(one, ("--pilots", "random", "--workers", "1"))) == 0
+    assert main(_args(two, ("--pilots", "random", "--workers", "2"))) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_workers_config_key(tmp_path):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("workers = 2\n")
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(_args(one)) == 0
+    assert main(["--config", str(conf), *_args(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_workers_below_one_exits_two(tmp_path, capsys, value):
+    out = tmp_path / "result.csv"
+    assert main(_args(out, ("--workers", value))) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"workers = {value}\n")
+    assert main(["--config", str(conf), *_args(out)]) == 2
+    assert not out.exists()

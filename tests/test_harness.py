@@ -1,12 +1,17 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofdmsim.channel import ChannelModel
-from ofdmsim.errors import InvalidConfiguration, UnsupportedOrder
+from ofdmsim import harness, ofdm
+from ofdmsim.channel import ChannelModel, DelayLine, add_awgn, apply_multipath, signal_power
+from ofdmsim.errors import InvalidConfiguration, SingularChannelGain, UnsupportedOrder
 from ofdmsim.harness import (
+    MAX_SNR_POINTS,
     SweepSpec,
     analytic_ber,
     eb_n0_db_for_snr,
@@ -18,8 +23,15 @@ from ofdmsim.harness import (
     snr_grid,
     write_csv,
 )
+from ofdmsim.modem import build_constellation, demap_symbols, map_bits
 from ofdmsim.numerics import q_function, seeded_stream
-from ofdmsim.ofdm import OfdmConfig
+from ofdmsim.ofdm import (
+    OfdmConfig,
+    channel_frequency_response,
+    equalize,
+    ofdm_demodulate,
+    ofdm_modulate,
+)
 
 
 def _spec(**kw):
@@ -224,3 +236,147 @@ def test_noiseless_all_pilot_frames_count_zero_bits():
     pt = run_ber_point(spec, math.inf)
     assert pt.bits_total == 0
     assert pt.ber == 0.0
+
+
+def _oracle_allocate(cfg, symbol_index, rng):
+    """One symbol's (pilot bins, data bins, pilot values), drawn per symbol."""
+    n = cfg.n_subchannels
+    count = cfg.pilot_count
+    if cfg.pilot_pattern == "block":
+        pilots = np.arange(n) if symbol_index % cfg.block_period == 0 else np.empty(0, dtype=np.intp)
+    elif cfg.pilot_pattern == "comb":
+        pilots = np.array([round(i * n / count) for i in range(count)], dtype=np.intp)
+    else:
+        draw = rng.child(ofdm._TAG_INDICES, symbol_index)
+        pilots = np.sort(np.argsort(draw.uniforms(n), kind="stable")[:count])
+    mask = np.ones(n, dtype=bool)
+    mask[pilots] = False
+    values = np.empty(0, dtype=np.complex128)
+    if pilots.size:
+        u = rng.child(ofdm._TAG_VALUES, symbol_index).uniforms(2 * pilots.size)
+        re = np.where(u[0::2] < 0.5, 1.0, -1.0)
+        im = np.where(u[1::2] < 0.5, 1.0, -1.0)
+        values = (re + 1j * im) / math.sqrt(2.0)
+    return pilots, np.flatnonzero(mask), values
+
+
+def _oracle_counts(spec, snr_db, iteration):
+    """One iteration symbol by symbol, as the harness ran it before frames
+    were batched into chunks; returns (bit_errors, data_bits)."""
+    cfg = spec.cfg
+    n_sym = spec.symbols_per_iteration
+    const = build_constellation(cfg.mod_order)
+    h = channel_frequency_response(spec.channel, cfg.n_subchannels)
+    rng = seeded_stream(spec.seed, iteration)
+    bits_rng = rng.child(harness._TAG_BITS)
+    noise_rng = rng.child(harness._TAG_NOISE)
+    alloc_rng = rng.child(harness._TAG_ALLOC)
+
+    maps = [_oracle_allocate(cfg, j, alloc_rng) for j in range(n_sym)]
+    counts = [data.size for _, data, _ in maps]
+    total_bits = const.bits_per_symbol * sum(counts)
+    tx_bits = bits_rng.bits(total_bits)
+    data_syms = map_bits(tx_bits, const)
+
+    grid = np.zeros((n_sym, cfg.n_subchannels), dtype=np.complex128)
+    offset = 0
+    for j, (pilots, data, values) in enumerate(maps):
+        grid[j, data] = data_syms[offset : offset + counts[j]]
+        grid[j, pilots] = values
+        offset += counts[j]
+
+    tx = ofdm_modulate(grid, cfg).ravel()
+    faded = apply_multipath(tx, spec.channel, DelayLine.for_channel(spec.channel))
+    rx = add_awgn(faded, snr_db, signal_power(tx), noise_rng)
+
+    fgrid = ofdm_demodulate(rx.reshape(n_sym, cfg.samples_per_symbol), cfg)
+    rx_syms = np.concatenate(
+        [equalize(fgrid[j], h, used=data)[data] for j, (_, data, _) in enumerate(maps)]
+    )
+    rx_bits = demap_symbols(rx_syms, const)
+    return int(np.count_nonzero(rx_bits != tx_bits)), total_bits
+
+
+def _oracle_point(spec, snr_db):
+    counts = [_oracle_counts(spec, snr_db, i) for i in range(spec.iterations)]
+    return sum(e for e, _ in counts), sum(b for _, b in counts)
+
+
+@st.composite
+def _small_specs(draw):
+    n = 1 << draw(st.integers(3, 7))
+    n_sym = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    cp_len = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    pattern = draw(st.sampled_from(["block", "comb", "random"]))
+    pilot_count = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    cfg = OfdmConfig(
+        n_subchannels=n,
+        cp_len=cp_len,
+        pilot_pattern=pattern,
+        pilot_count=pilot_count,
+        mod_order=draw(st.sampled_from([4, 8, 16])),
+        block_period=draw(st.integers(1, 4)),
+    )
+    # a unit main tap plus echoes of total gain below 1 has no spectral
+    # null; echo delays reach past the whole frame, which must add nothing
+    frame_len = n_sym * cfg.samples_per_symbol
+    delays = draw(st.lists(st.integers(1, 2 * frame_len), max_size=2, unique=True))
+    gain = st.complex_numbers(max_magnitude=0.4)
+    taps = ((1.0, 0),) + tuple((draw(gain), d) for d in delays)
+    spec = SweepSpec(
+        cfg=cfg,
+        iterations=draw(st.integers(1, 9)),
+        symbols_per_iteration=n_sym,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        channel=ChannelModel(taps),
+    )
+    return spec, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_small_specs(), snr_db=st.sampled_from([0.0, 8.0, 20.0, math.inf]))
+def test_frame_chunks_match_per_symbol_oracle(case, snr_db):
+    spec, per_chunk = case
+    # shrink the chunk so a few iterations already span several chunks and
+    # the last one is short whenever iterations is not a multiple of per_chunk
+    chunk_samples = per_chunk * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
+    with mock.patch.object(harness, "_CHUNK_SAMPLES", chunk_samples):
+        pt = run_ber_point(spec, snr_db)
+    assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, snr_db)
+
+
+def test_default_chunks_match_oracle_past_a_chunk_boundary():
+    # N = 8, one symbol, no prefix: 512 iterations per chunk, so 513 span two
+    cfg = OfdmConfig(n_subchannels=8, cp_len=0, pilot_pattern="random", pilot_count=0, mod_order=16)
+    channel = ChannelModel(((1.0, 0), (0.3 - 0.1j, 9)))  # echo later than the 8-sample frame
+    spec = SweepSpec(cfg=cfg, iterations=513, symbols_per_iteration=1, channel=channel)
+    pt = run_ber_point(spec, 6.0)
+    assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 6.0)
+
+
+def test_spec_rejects_spectral_null_on_data_bins():
+    # 1 + z^-1 is zero at bin N/2 = 32, a comb pilot bin at the default
+    # 8 pilots, a data bin in every other layout
+    null = ChannelModel(((1.0, 0), (1.0, 1)))
+    SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_count=8), channel=null)
+    SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_pattern="block", block_period=1), channel=null)
+    SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_pattern="block"), symbols_per_iteration=1, channel=null)
+    for cfg_kw in (
+        {"pilot_count": 0},
+        {"pilot_count": 7},
+        {"pilot_pattern": "block"},
+        {"pilot_pattern": "random", "pilot_count": 0},
+        {"pilot_pattern": "random", "pilot_count": 8},
+    ):
+        with pytest.raises(SingularChannelGain):
+            SweepSpec(cfg=OfdmConfig(n_subchannels=64, **cfg_kw), channel=null)
+
+
+def test_spec_bounds_snr_grid_points():
+    spec = _spec(snr_start_db=0.0, snr_stop_db=MAX_SNR_POINTS - 1.0, snr_step_db=1.0)
+    assert len(snr_grid(spec)) == MAX_SNR_POINTS
+    for stop, step in ((float(MAX_SNR_POINTS), 1.0), (6.0, 1e-300), (1e308, 5e-324)):
+        with pytest.raises(InvalidConfiguration):
+            _spec(snr_start_db=0.0, snr_stop_db=stop, snr_step_db=step)
+    with pytest.raises(InvalidConfiguration):
+        _spec(snr_start_db=-1e308, snr_stop_db=1e308)

@@ -91,3 +91,9 @@ def test_q_function_strictly_decreasing():
     xs = np.linspace(-6.0, 6.0, 200)
     qs = [q_function(float(x)) for x in xs]
     assert all(a > b for a, b in zip(qs, qs[1:]))
+
+
+def test_stream_is_philox_keyed_by_stream_id_and_seed():
+    for seed, sid in ((1, 0), (0, 2**64 - 1), (2**64 - 1, 12345), (987654321, 2**63 + 5)):
+        ref = np.random.Generator(np.random.Philox(counter=0, key=(sid << 64) | seed))
+        assert np.array_equal(seeded_stream(seed, sid).uniforms(1000), ref.random(1000))

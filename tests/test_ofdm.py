@@ -108,6 +108,24 @@ def test_pilot_data_partition():
             assert np.array_equal(np.sort(merged), np.arange(128))
 
 
+@pytest.mark.parametrize(
+    "pattern, pilot_count", [("block", 8), ("comb", 8), ("comb", 0), ("random", 8), ("random", 0)]
+)
+def test_frame_allocation_rows_match_single_symbol_calls(pattern, pilot_count):
+    cfg = OfdmConfig(n_subchannels=32, pilot_pattern=pattern, pilot_count=pilot_count, block_period=3)
+    streams = [seeded_stream(8, i).child(3) for i in range(3)]
+    symbols = range(2, 7)
+    fmap = allocate_subcarriers(cfg, symbols, streams)
+    rows = [allocate_subcarriers(cfg, j, s) for s in streams for j in symbols]
+    pilot_row = fmap.pilot_indices // 32
+    for r, smap in enumerate(rows):
+        assert np.array_equal(fmap.pilot_indices[pilot_row == r] % 32, smap.pilot_indices)
+        assert np.array_equal(fmap.data_indices[fmap.data_indices // 32 == r] % 32, smap.data_indices)
+        assert np.array_equal(fmap.pilot_values[pilot_row == r], smap.pilot_values)
+    merged = np.sort(np.concatenate([fmap.pilot_indices, fmap.data_indices]))
+    assert np.array_equal(merged, np.arange(len(rows) * 32))
+
+
 def test_build_and_extract_roundtrip():
     cfg = OfdmConfig(n_subchannels=4, pilot_count=1, pilot_pattern="comb", cp_len=1)
     smap = allocate_subcarriers(cfg, 0, seeded_stream(3, 0))
