@@ -10,7 +10,6 @@ import numpy as np
 
 from ofdmsim import (
     ChannelModel,
-    DelayLine,
     OfdmConfig,
     allocate_subcarriers,
     apply_multipath,
@@ -33,7 +32,8 @@ rng = seeded_stream(seed=2024, stream_id=0)
 print(f"config: N={cfg.n_subchannels}, cp_len={cfg.cp_len}, "
       f"{cfg.pilot_count} comb pilots, order {cfg.mod_order}")
 
-smap = allocate_subcarriers(cfg, symbol_index=0, rng=rng)
+# a frame of one symbol (symbol index 0) drawn from one stream
+smap = allocate_subcarriers(cfg, range(1), [rng])
 print(f"pilot subcarriers: {smap.pilot_indices.tolist()}")
 print(f"data subcarriers per symbol: {smap.data_indices.size}")
 
@@ -46,12 +46,12 @@ print(f"mapped to {data_syms.size} QAM symbols, first 3: {np.round(data_syms[:3]
 
 freq = build_frequency_symbol(data_syms, smap, cfg)
 tx_time = ofdm_modulate(freq, cfg)
-print(f"time-domain symbol: {tx_time.size} samples "
-      f"(cyclic prefix repeats the last {cfg.cp_len})")
-print(f"prefix == tail: {np.array_equal(tx_time[:cfg.cp_len], tx_time[-cfg.cp_len:])}")
+print(f"time-domain frame: shape {tx_time.shape} "
+      f"(cyclic prefix repeats the last {cfg.cp_len} samples)")
+print(f"prefix == tail: {np.array_equal(tx_time[:, :cfg.cp_len], tx_time[:, -cfg.cp_len:])}")
 
 channel = ChannelModel(((0.9 + 0.1j, 0), (0.4 * np.exp(1j * 0.7), 3), (0.15j, 6)))
-rx_time = apply_multipath(tx_time, channel, DelayLine.for_channel(channel))
+rx_time = apply_multipath(tx_time, channel)
 taps_str = ", ".join(f"({complex(round(g.real, 3), round(g.imag, 3))}, {d})" for g, d in channel.taps)
 print(f"\nchannel taps (gain, delay): {taps_str}")
 
@@ -59,8 +59,8 @@ rx_freq = ofdm_demodulate(rx_time, cfg)
 h = channel_frequency_response(channel, cfg.n_subchannels)
 print(f"per-subcarrier gains |H[k]| range: {np.abs(h).min():.3f} .. {np.abs(h).max():.3f}")
 
-equalized = equalize(rx_freq, h, used=smap.data_indices)
-rx_syms = extract_data(equalized, smap)
+# flat data indices of the one-row grid are its bins
+rx_syms = equalize(extract_data(rx_freq, smap), h[smap.data_indices])
 residual = np.max(np.abs(rx_syms - data_syms))
 print(f"max symbol error after equalization: {residual:.2e}")
 

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from . import errors
 from .channel import (
     ChannelModel,
-    DelayLine,
     add_awgn,
     apply_multipath,
     load_channel_profile,
@@ -75,7 +74,6 @@ __all__ = [
     "equalize",
     "extract_data",
     "ChannelModel",
-    "DelayLine",
     "apply_multipath",
     "signal_power",
     "add_awgn",

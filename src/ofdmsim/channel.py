@@ -1,8 +1,8 @@
 """Multipath FIR channel and calibrated AWGN injection.
 
-The channel is a sparse FIR filter y[n] = sum_i gain_i * x[n - delay_i].
-A DelayLine carries the input tail across calls so consecutive symbol
-blocks of a frame see physically correct inter-symbol leakage.
+The channel is a sparse FIR filter y[n] = sum_i gain_i * x[n - delay_i],
+applied to each row of its input, a frame of consecutive OFDM symbols, so
+the symbols of a frame see physically correct inter-symbol leakage.
 """
 
 from __future__ import annotations
@@ -54,44 +54,24 @@ class ChannelModel:
         return self.taps[-1][1]
 
 
-class DelayLine:
-    """Input history for streaming FIR filtering; single-owner per pipeline."""
-
-    def __init__(self, size: int):
-        self.buffer = np.zeros(int(size), dtype=np.complex128)
-
-    @classmethod
-    def for_channel(cls, ch: ChannelModel) -> "DelayLine":
-        return cls(ch.max_delay)
-
-
-def apply_multipath(x, ch: ChannelModel, state: DelayLine) -> np.ndarray:
-    """Streaming FIR filter; past samples come from (and update) the delay line.
-
-    Splitting an input into chunks and streaming them through produces
-    bitwise the same output as one whole-vector call.
-    """
-    xv = np.asarray(x, dtype=np.complex128).ravel()
-    d_max = state.buffer.size
-    if d_max < ch.max_delay:
-        raise InvalidConfiguration(
-            f"delay line holds {d_max} samples but channel needs {ch.max_delay}"
-        )
-    ext = np.concatenate([state.buffer, xv])
-    y = np.zeros(xv.size, dtype=np.complex128)
+def apply_multipath(x, ch: ChannelModel) -> np.ndarray:
+    """FIR-filter each row along the last axis, starting from silence:
+    samples before the start of a row are zero."""
+    xv = np.asarray(x, dtype=np.complex128)
+    n = xv.shape[-1]
+    y = np.zeros(xv.shape, dtype=np.complex128)
     for gain, delay in ch.taps:
-        y += gain * ext[d_max - delay : d_max - delay + xv.size]
-    if d_max:
-        state.buffer = ext[ext.size - d_max :].copy()
+        if delay < n:
+            y[..., delay:] += gain * xv[..., : n - delay]
     return y
 
 
-def signal_power(x) -> float:
-    """Mean of |x[n]|^2."""
+def signal_power(x) -> np.ndarray | float:
+    """Mean of |x[n]|^2 along the last axis: one value per row."""
     xv = np.asarray(x)
     if xv.size == 0:
         raise EmptyInput("signal_power of an empty vector")
-    return float(np.mean(np.abs(xv) ** 2))
+    return np.mean(np.abs(xv) ** 2, axis=-1)
 
 
 def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream) -> np.ndarray:

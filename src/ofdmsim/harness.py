@@ -14,18 +14,20 @@ snr_db - 10*log10(bits_per_symbol * n_data/N).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, DelayLine, add_awgn, apply_multipath, signal_power
+from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from .errors import InvalidConfiguration, SingularChannelGain
 from .modem import Constellation, build_constellation, demap_symbols, map_bits
 from .numerics import RngStream, q_function, seeded_stream
 from .ofdm import (
     OfdmConfig,
     allocate_subcarriers,
+    build_frequency_symbol,
     channel_frequency_response,
     data_bins,
     equalize,
@@ -40,9 +42,9 @@ _TAG_NOISE = 2
 _TAG_ALLOC = 3
 
 # Iterations run in chunks of about this many time samples, each chunk as one
-# frame tensor, so allocation, transforms, equalization and demapping cost
-# one call per chunk. At N = 64 with 10 symbols a chunk holds 5 iterations;
-# from N = 256 up it holds one, so long rows take no more memory than before.
+# frame tensor, so allocation, transforms, multipath, equalization and
+# demapping cost one call per chunk. At N = 64 with 10 symbols a chunk holds 5
+# iterations; from N = 256 up it holds one, so long rows take no more memory.
 _CHUNK_SAMPLES = 4096
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
@@ -155,21 +157,18 @@ def _frame_chunk(
     frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
     tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
 
-    grid = np.zeros((len(streams) * n_sym, cfg.n_subchannels), dtype=np.complex128)
-    flat = grid.reshape(-1)
-    flat[smap.data_indices] = map_bits(tx_bits, const)
-    flat[smap.pilot_indices] = smap.pilot_values
+    grid = build_frequency_symbol(map_bits(tx_bits, const), smap, cfg)
 
-    # the channel sees one frame at a time: fresh delay line, own noise stream
+    # one row per frame: each starts from silence and draws its own noise
     tx = ofdm_modulate(grid, cfg).reshape(len(streams), -1)
-    rx = np.empty_like(tx)
+    rx = apply_multipath(tx, spec.channel)
+    power = signal_power(tx)
     for frame, s in enumerate(streams):
-        faded = apply_multipath(tx[frame], spec.channel, DelayLine.for_channel(spec.channel))
-        rx[frame] = add_awgn(faded, snr_db, signal_power(tx[frame]), s.child(_TAG_NOISE))
+        rx[frame] = add_awgn(rx[frame], snr_db, power[frame], s.child(_TAG_NOISE))
 
     fgrid = ofdm_demodulate(rx.reshape(grid.shape[0], -1), cfg)
     h_data = h[smap.data_indices % cfg.n_subchannels]
-    rx_syms = equalize(extract_data(fgrid.reshape(-1), smap), h_data)
+    rx_syms = equalize(extract_data(fgrid, smap), h_data)
     rx_bits = demap_symbols(rx_syms, const)
     return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
 
@@ -204,8 +203,9 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerPoint:
     """Monte Carlo BER at one SNR: iterations x symbols_per_iteration frames.
 
     Only data bits are counted. Results are deterministic in (spec, seed)
-    for any worker count.
+    for any worker count; at most one process per CPU is started.
     """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         errors, bits = _point_chunk((spec, snr_db, 0, spec.iterations))
     else:

@@ -39,19 +39,13 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Static link parameters; cp_len and pilot_count default to N/8.
-
-    bandwidth_hz is reporting-only metadata: when set, subcarrier spacing,
-    guard time and total symbol duration are derived from it. The
-    simulation itself is sample-indexed.
-    """
+    """Static link parameters; cp_len and pilot_count default to N/8."""
 
     n_subchannels: int
     cp_len: int | None = None
     pilot_pattern: str = "comb"
     pilot_count: int | None = None
     mod_order: int = 4
-    bandwidth_hz: float | None = None
     block_period: int = 8
 
     def __post_init__(self):
@@ -76,27 +70,6 @@ class OfdmConfig:
             raise UnsupportedOrder(f"mod_order must be one of {tuple(_AXIS_BITS)}, got {self.mod_order}")
         if self.block_period < 1:
             raise InvalidConfiguration(f"block_period must be >= 1, got {self.block_period}")
-        if self.bandwidth_hz is not None and not self.bandwidth_hz > 0:
-            raise InvalidConfiguration(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-
-    @property
-    def subcarrier_spacing_hz(self) -> float | None:
-        if self.bandwidth_hz is None:
-            return None
-        return self.bandwidth_hz / self.n_subchannels
-
-    @property
-    def guard_time_s(self) -> float | None:
-        if self.bandwidth_hz is None:
-            return None
-        return self.cp_len / self.bandwidth_hz
-
-    @property
-    def symbol_time_s(self) -> float | None:
-        """Total symbol duration: N samples of payload plus the guard time."""
-        if self.bandwidth_hz is None:
-            return None
-        return self.n_subchannels / self.bandwidth_hz + self.guard_time_s
 
     @property
     def samples_per_symbol(self) -> int:
@@ -112,11 +85,11 @@ class OfdmConfig:
 
 @dataclass(frozen=True, eq=False)
 class SubcarrierMap:
-    """Disjoint pilot/data index sets covering every bin, plus known pilot values.
+    """Disjoint pilot/data index sets covering every bin of an (R, N) frame
+    tensor, plus known pilot values.
 
-    For one symbol the indices are bins 0..N-1. For a frame tensor of R
-    symbols they are flat indices into its raveled (R, N) grid, ascending,
-    so row r, bin k is r*N + k; pilot values follow pilot_indices.
+    Indices are flat into the raveled grid, ascending, so row r, bin k is
+    r*N + k; pilot values follow pilot_indices.
     """
 
     pilot_indices: np.ndarray
@@ -159,28 +132,19 @@ def data_bins(cfg: OfdmConfig, n_symbols: int) -> np.ndarray:
 
 
 def allocate_subcarriers(
-    cfg: OfdmConfig, symbol_index: int | range, rng: RngStream | Sequence[RngStream]
+    cfg: OfdmConfig, symbols: range, streams: Sequence[RngStream]
 ) -> SubcarrierMap:
-    """Pick pilot and data subcarriers for one OFDM symbol, or for a frame tensor.
+    """Pick pilot and data subcarriers for the (F * len(symbols), N) frame
+    tensor of F frames, one stream per frame, frame-major.
 
     block:  every block_period-th symbol is all pilots, the rest all data.
     comb:   fixed evenly spaced pilot indices round(i*N/pilot_count).
-    random: pilot_count distinct indices, re-drawn per symbol_index but
-            deterministic in (rng, symbol_index).
+    random: pilot_count distinct indices, re-drawn per symbol index but
+            deterministic in (stream, symbol index).
 
     Pilot values are known unit-energy QPSK points from a dedicated
-    substream; the caller's stream state is never consumed.
-
-    One symbol index and one stream give that symbol's map over bins
-    0..N-1. A range of symbol indices and a sequence of F streams, one per
-    frame, give the map of the (F * len(range), N) frame tensor, frame-major;
-    each of its rows is what the one-symbol call gives for that stream and
-    symbol index.
+    substream; the streams' own state is never consumed.
     """
-    if isinstance(symbol_index, range):
-        symbols, streams = symbol_index, tuple(rng)
-    else:
-        symbols, streams = range(symbol_index, symbol_index + 1), (rng,)
     n = cfg.n_subchannels
     count = cfg.pilot_count
     if cfg.pilot_pattern == "random" and count:
@@ -208,15 +172,18 @@ def allocate_subcarriers(
 
 
 def build_frequency_symbol(data, smap: SubcarrierMap, cfg: OfdmConfig) -> np.ndarray:
-    """Place data symbols (ascending subcarrier order) and pilots on the N bins."""
+    """Place data symbols (ascending flat index order) and pilots on the
+    (R, N) grid of the map."""
     d = np.asarray(data, dtype=np.complex128).ravel()
     if d.size != smap.data_indices.size:
         raise LengthMismatch(
             f"got {d.size} data symbols for {smap.data_indices.size} data subcarriers"
         )
-    out = np.zeros(cfg.n_subchannels, dtype=np.complex128)
-    out[smap.data_indices] = d
-    out[smap.pilot_indices] = smap.pilot_values
+    n = cfg.n_subchannels
+    out = np.zeros(((d.size + smap.pilot_indices.size) // n, n), dtype=np.complex128)
+    flat = out.reshape(-1)
+    flat[smap.data_indices] = d
+    flat[smap.pilot_indices] = smap.pilot_values
     return out
 
 
@@ -253,29 +220,19 @@ def channel_frequency_response(ch: ChannelModel, n: int) -> np.ndarray:
     return h
 
 
-def equalize(freq, h, used: Sequence[int] | np.ndarray | None = None) -> np.ndarray:
-    """Divide out the known channel response on the used subcarriers.
-
-    used=None treats every subcarrier as used. Unused bins pass through
-    untouched, and only used bins are checked for singular gains.
-    """
+def equalize(freq, h) -> np.ndarray:
+    """Divide out the known channel response, element by element along the
+    last axis; the caller gathers h on the bins it equalizes."""
     f = np.asarray(freq, dtype=np.complex128)
     hv = np.asarray(h, dtype=np.complex128).ravel()
     if f.shape[-1] != hv.size:
         raise LengthMismatch(f"vector length {f.shape[-1]} != response length {hv.size}")
-    if used is None:
-        if np.any(np.abs(hv) < 1e-12):
-            raise SingularChannelGain("channel response is zero on a used subcarrier")
-        return f / hv
-    idx = np.asarray(used, dtype=np.intp)
-    if np.any(np.abs(hv[idx]) < 1e-12):
+    if np.any(np.abs(hv) < 1e-12):
         raise SingularChannelGain("channel response is zero on a used subcarrier")
-    out = f.copy()
-    out[..., idx] = f[..., idx] / hv[idx]
-    return out
+    return f / hv
 
 
 def extract_data(freq, smap: SubcarrierMap) -> np.ndarray:
-    """Read the data symbols back out in ascending subcarrier order."""
-    f = np.asarray(freq, dtype=np.complex128)
-    return f[..., smap.data_indices]
+    """Read the data symbols of an (R, N) grid back out in ascending flat
+    index order."""
+    return np.asarray(freq, dtype=np.complex128).reshape(-1)[smap.data_indices]

@@ -5,7 +5,6 @@ import pytest
 
 from ofdmsim.channel import (
     ChannelModel,
-    DelayLine,
     add_awgn,
     apply_multipath,
     load_channel_profile,
@@ -43,7 +42,7 @@ def test_taps_sorted_by_delay():
 def test_identity_channel_passthrough():
     x = np.arange(8, dtype=complex) + 1j
     ch = ChannelModel.identity()
-    y = apply_multipath(x, ch, DelayLine.for_channel(ch))
+    y = apply_multipath(x, ch)
     assert np.array_equal(y, x)
 
 
@@ -51,7 +50,7 @@ def test_delayed_scaled_impulse():
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
     ch = ChannelModel(((0.5, 2),))
-    y = apply_multipath(x, ch, DelayLine.for_channel(ch))
+    y = apply_multipath(x, ch)
     expected = np.zeros(8, dtype=complex)
     expected[2] = 0.5
     assert np.array_equal(y, expected)
@@ -60,7 +59,7 @@ def test_delayed_scaled_impulse():
 def test_two_tap_hand_convolution():
     ch = ChannelModel(((1.0, 0), (0.5, 1)))
     x = np.array([1, 1, 0, 0], dtype=complex)
-    y = apply_multipath(x, ch, DelayLine.for_channel(ch))
+    y = apply_multipath(x, ch)
     assert np.allclose(y, [1.0, 1.5, 0.5, 0.0], atol=1e-15)
 
 
@@ -70,29 +69,28 @@ def test_fresh_state_equals_linear_convolution(n):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     taps = ((0.9 - 0.2j, 0), (0.4 + 0.1j, 2), (-0.3j, 5))
     ch = ChannelModel(taps)
-    y = apply_multipath(x, ch, DelayLine.for_channel(ch))
+    y = apply_multipath(x, ch)
     assert np.max(np.abs(y - brute_force_fir(x, taps))) < 1e-12
 
 
-def test_chunked_streaming_is_bitwise_identical():
+def test_rows_filter_independently_and_bitwise_like_one_row_calls():
     rng = np.random.default_rng(77)
-    x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    x = rng.standard_normal((5, 200)) + 1j * rng.standard_normal((5, 200))
+    x[2] = 0.0
     ch = ChannelModel(((1.0, 0), (0.5 + 0.5j, 3), (0.2, 7)))
-    whole = apply_multipath(x, ch, DelayLine.for_channel(ch))
-    state = DelayLine.for_channel(ch)
-    pieces = []
-    for chunk in np.array_split(x, [13, 120, 121, 600]):
-        pieces.append(apply_multipath(chunk, ch, state))
-    assert np.array_equal(np.concatenate(pieces), whole)
+    y = apply_multipath(x, ch)
+    assert y.shape == x.shape
+    for row in range(x.shape[0]):
+        assert y[row].tobytes() == apply_multipath(x[row], ch).tobytes()
 
 
-def test_state_carries_across_calls():
-    ch = ChannelModel(((1.0, 1),))
-    state = DelayLine.for_channel(ch)
-    first = apply_multipath(np.array([1.0 + 0j, 2.0]), ch, state)
-    second = apply_multipath(np.array([3.0 + 0j]), ch, state)
-    assert np.array_equal(first, [0.0, 1.0])
-    assert np.array_equal(second, [2.0])
+@pytest.mark.parametrize("delay", [8, 9, 100])
+def test_tap_at_or_past_row_length_adds_nothing(delay):
+    rng = np.random.default_rng(delay)
+    x = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    direct = ChannelModel(((0.9 - 0.2j, 0), (0.4j, 2)))
+    late = ChannelModel(direct.taps + ((0.7 + 0.1j, delay),))
+    assert apply_multipath(x, late).tobytes() == apply_multipath(x, direct).tobytes()
 
 
 def test_signal_power_examples():
@@ -100,6 +98,16 @@ def test_signal_power_examples():
     assert signal_power(np.zeros(5, dtype=complex)) == 0.0
     with pytest.raises(EmptyInput):
         signal_power(np.array([]))
+
+
+def test_signal_power_per_row_equals_one_row_calls():
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (4, 7), (3, 4096), (2, 5, 33)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        power = signal_power(x)
+        assert power.shape == shape[:-1]
+        rows = x.reshape(-1, shape[-1])
+        assert power.ravel().tolist() == [signal_power(r) for r in rows]
 
 
 def test_signal_power_parseval_bookkeeping():

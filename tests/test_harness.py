@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmsim import harness, ofdm
-from ofdmsim.channel import ChannelModel, DelayLine, add_awgn, apply_multipath, signal_power
+from ofdmsim.channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from ofdmsim.errors import InvalidConfiguration, SingularChannelGain, UnsupportedOrder
 from ofdmsim.harness import (
     MAX_SNR_POINTS,
@@ -28,7 +28,6 @@ from ofdmsim.numerics import q_function, seeded_stream
 from ofdmsim.ofdm import (
     OfdmConfig,
     channel_frequency_response,
-    equalize,
     ofdm_demodulate,
     ofdm_modulate,
 )
@@ -118,6 +117,35 @@ def test_parallel_workers_match_sequential():
     seq = run_ber_point(spec, 6.0, workers=1)
     par = run_ber_point(spec, 6.0, workers=2)
     assert seq == par
+
+
+def test_workers_capped_at_cpu_count():
+    # an in-process stand-in for the pool, so no process is started
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    spec = _spec(n=64, pilots=8, iterations=12)
+    seq = run_ber_point(spec, 6.0, workers=1)
+    with mock.patch.object(harness, "ProcessPoolExecutor", RecordingPool):
+        with mock.patch("os.cpu_count", return_value=2):
+            capped = run_ber_point(spec, 6.0, workers=100_000)
+        with mock.patch("os.cpu_count", return_value=None):
+            unknown = run_ber_point(spec, 6.0, workers=100_000)
+    assert pools == [2]
+    assert capped == seq
+    assert unknown == seq
 
 
 def test_order_dominance_at_fixed_snr():
@@ -286,13 +314,11 @@ def _oracle_counts(spec, snr_db, iteration):
         offset += counts[j]
 
     tx = ofdm_modulate(grid, cfg).ravel()
-    faded = apply_multipath(tx, spec.channel, DelayLine.for_channel(spec.channel))
+    faded = apply_multipath(tx, spec.channel)
     rx = add_awgn(faded, snr_db, signal_power(tx), noise_rng)
 
     fgrid = ofdm_demodulate(rx.reshape(n_sym, cfg.samples_per_symbol), cfg)
-    rx_syms = np.concatenate(
-        [equalize(fgrid[j], h, used=data)[data] for j, (_, data, _) in enumerate(maps)]
-    )
+    rx_syms = np.concatenate([fgrid[j, data] / h[data] for j, (_, data, _) in enumerate(maps)])
     rx_bits = demap_symbols(rx_syms, const)
     return int(np.count_nonzero(rx_bits != tx_bits)), total_bits
 

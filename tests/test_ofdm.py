@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdmsim.channel import ChannelModel, DelayLine, apply_multipath
+from ofdmsim.channel import ChannelModel, apply_multipath
 from ofdmsim.errors import (
     InvalidConfiguration,
     LengthMismatch,
@@ -45,41 +45,38 @@ def test_config_validation():
         OfdmConfig(n_subchannels=256, pilot_pattern="grid")
 
 
-def test_config_timing_metadata():
-    cfg = OfdmConfig(n_subchannels=256, cp_len=32, bandwidth_hz=2.56e6)
-    assert cfg.subcarrier_spacing_hz == pytest.approx(10_000.0)
-    assert cfg.guard_time_s == pytest.approx(12.5e-6)
-    assert cfg.symbol_time_s == pytest.approx(100e-6 + 12.5e-6)
-    assert OfdmConfig(n_subchannels=256).symbol_time_s is None
+def _one_symbol(cfg, symbol_index, rng):
+    """The map of a one-symbol frame: its flat indices are bins 0..N-1."""
+    return allocate_subcarriers(cfg, range(symbol_index, symbol_index + 1), [rng])
 
 
 def test_comb_allocation_even_spacing():
     cfg = OfdmConfig(n_subchannels=256, pilot_pattern="comb", pilot_count=32)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(1, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(1, 0))
     assert np.array_equal(smap.pilot_indices, np.arange(0, 256, 8))
     assert smap.data_indices.size == 224
     # identical for every symbol index
-    again = allocate_subcarriers(cfg, 5, seeded_stream(1, 0))
+    again = _one_symbol(cfg, 5, seeded_stream(1, 0))
     assert np.array_equal(again.pilot_indices, smap.pilot_indices)
 
 
 def test_block_allocation_period():
     cfg = OfdmConfig(n_subchannels=64, pilot_pattern="block", pilot_count=8)
     rng = seeded_stream(2, 0)
-    assert allocate_subcarriers(cfg, 0, rng).pilot_indices.size == 64
+    assert _one_symbol(cfg, 0, rng).pilot_indices.size == 64
     for j in range(1, 8):
-        assert allocate_subcarriers(cfg, j, rng).pilot_indices.size == 0
-    assert allocate_subcarriers(cfg, 8, rng).pilot_indices.size == 64
+        assert _one_symbol(cfg, j, rng).pilot_indices.size == 0
+    assert _one_symbol(cfg, 8, rng).pilot_indices.size == 64
 
 
 def test_random_allocation_deterministic_per_symbol():
     cfg = OfdmConfig(n_subchannels=128, pilot_pattern="random", pilot_count=16)
     rng = seeded_stream(9, 0)
-    a = allocate_subcarriers(cfg, 3, rng)
-    b = allocate_subcarriers(cfg, 3, seeded_stream(9, 0))
+    a = _one_symbol(cfg, 3, rng)
+    b = _one_symbol(cfg, 3, seeded_stream(9, 0))
     assert np.array_equal(a.pilot_indices, b.pilot_indices)
     assert np.array_equal(a.pilot_values, b.pilot_values)
-    c = allocate_subcarriers(cfg, 4, rng)
+    c = _one_symbol(cfg, 4, rng)
     assert not np.array_equal(a.pilot_indices, c.pilot_indices)
     assert a.pilot_indices.size == 16
     assert np.all(np.diff(a.pilot_indices) > 0)
@@ -87,14 +84,14 @@ def test_random_allocation_deterministic_per_symbol():
 
 def test_pilot_values_are_unit_qpsk():
     cfg = OfdmConfig(n_subchannels=128, pilot_pattern="random", pilot_count=16)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(4, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(4, 0))
     assert np.allclose(np.abs(smap.pilot_values), 1.0, atol=1e-12)
     assert np.allclose(np.abs(smap.pilot_values.real), 1 / math.sqrt(2), atol=1e-12)
 
 
 def test_zero_pilots_all_data():
     cfg = OfdmConfig(n_subchannels=64, pilot_count=0)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(1, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(1, 0))
     assert smap.pilot_indices.size == 0
     assert np.array_equal(smap.data_indices, np.arange(64))
 
@@ -103,7 +100,7 @@ def test_pilot_data_partition():
     for pattern in ("block", "comb", "random"):
         cfg = OfdmConfig(n_subchannels=128, pilot_pattern=pattern, pilot_count=16)
         for j in (0, 1, 2):
-            smap = allocate_subcarriers(cfg, j, seeded_stream(6, 1))
+            smap = _one_symbol(cfg, j, seeded_stream(6, 1))
             merged = np.concatenate([smap.pilot_indices, smap.data_indices])
             assert np.array_equal(np.sort(merged), np.arange(128))
 
@@ -116,7 +113,7 @@ def test_frame_allocation_rows_match_single_symbol_calls(pattern, pilot_count):
     streams = [seeded_stream(8, i).child(3) for i in range(3)]
     symbols = range(2, 7)
     fmap = allocate_subcarriers(cfg, symbols, streams)
-    rows = [allocate_subcarriers(cfg, j, s) for s in streams for j in symbols]
+    rows = [_one_symbol(cfg, j, s) for s in streams for j in symbols]
     pilot_row = fmap.pilot_indices // 32
     for r, smap in enumerate(rows):
         assert np.array_equal(fmap.pilot_indices[pilot_row == r] % 32, smap.pilot_indices)
@@ -128,27 +125,28 @@ def test_frame_allocation_rows_match_single_symbol_calls(pattern, pilot_count):
 
 def test_build_and_extract_roundtrip():
     cfg = OfdmConfig(n_subchannels=4, pilot_count=1, pilot_pattern="comb", cp_len=1)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(3, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(3, 0))
     assert np.array_equal(smap.pilot_indices, [0])
     data = np.array([1 + 1j, 2.0, 3 - 1j])
     freq = build_frequency_symbol(data, smap, cfg)
-    assert freq[0] == smap.pilot_values[0]
-    assert np.array_equal(freq[1:], data)
+    assert freq.shape == (1, 4)
+    assert freq[0, 0] == smap.pilot_values[0]
+    assert np.array_equal(freq[0, 1:], data)
     assert np.array_equal(extract_data(freq, smap), data)
 
 
 def test_build_length_mismatch():
     cfg = OfdmConfig(n_subchannels=8, pilot_count=2, cp_len=1)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(1, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(1, 0))
     with pytest.raises(LengthMismatch):
         build_frequency_symbol(np.zeros(3, dtype=complex), smap, cfg)
 
 
 def test_all_pilot_symbol_has_no_data():
     cfg = OfdmConfig(n_subchannels=16, pilot_pattern="block", pilot_count=2, cp_len=2)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(1, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(1, 0))
     freq = build_frequency_symbol(np.array([], dtype=complex), smap, cfg)
-    assert np.array_equal(freq, smap.pilot_values)
+    assert np.array_equal(freq[0], smap.pilot_values)
     assert extract_data(freq, smap).size == 0
 
 
@@ -237,22 +235,24 @@ def test_equalize_identity_and_inverse():
 
 
 def test_equalize_checks_only_used_subcarriers():
+    # the caller gathers the used bins of both the grid and the response
     f = np.ones(4, dtype=complex)
     h = np.array([1.0, 0.0, 1.0, 1.0], dtype=complex)
-    out = equalize(f, h, used=np.array([0, 2, 3]))
-    assert np.array_equal(out[[0, 2, 3]], np.ones(3, dtype=complex))
-    assert out[1] == 1.0  # untouched
+    used = np.array([0, 2, 3])
+    out = equalize(f[used], h[used])
+    assert np.array_equal(out, np.ones(3, dtype=complex))
+    assert f[1] == 1.0  # untouched
     with pytest.raises(SingularChannelGain):
         equalize(f, h)
     with pytest.raises(SingularChannelGain):
-        equalize(f, h, used=np.array([1]))
+        equalize(f[[1]], h[[1]])
     with pytest.raises(LengthMismatch):
         equalize(f, np.ones(5, dtype=complex))
 
 
 def test_extract_data_examples():
     cfg = OfdmConfig(n_subchannels=4, pilot_count=2, pilot_pattern="comb", cp_len=1)
-    smap = allocate_subcarriers(cfg, 0, seeded_stream(2, 0))
+    smap = _one_symbol(cfg, 0, seeded_stream(2, 0))
     assert np.array_equal(smap.pilot_indices, [0, 2])
     freq = np.array([10.0, 11.0, 12.0, 13.0], dtype=complex)
     assert np.array_equal(extract_data(freq, smap), [11.0, 13.0])
@@ -263,22 +263,14 @@ def _chain_once(cfg, channel, n_symbols, seed):
     const = build_constellation(cfg.mod_order)
     rng = seeded_stream(seed, 0)
     h = channel_frequency_response(channel, cfg.n_subchannels)
-    maps = [allocate_subcarriers(cfg, j, rng.child(1)) for j in range(n_symbols)]
-    bits = rng.child(2).bits(const.bits_per_symbol * sum(m.data_indices.size for m in maps))
-    syms = map_bits(bits, const)
-    grid = np.zeros((n_symbols, cfg.n_subchannels), dtype=complex)
-    offset = 0
-    for j, smap in enumerate(maps):
-        grid[j, smap.data_indices] = syms[offset : offset + smap.data_indices.size]
-        grid[j, smap.pilot_indices] = smap.pilot_values
-        offset += smap.data_indices.size
+    smap = allocate_subcarriers(cfg, range(n_symbols), [rng.child(1)])
+    bits = rng.child(2).bits(const.bits_per_symbol * smap.data_indices.size)
+    grid = build_frequency_symbol(map_bits(bits, const), smap, cfg)
     tx = ofdm_modulate(grid, cfg).ravel()
-    rx = apply_multipath(tx, channel, DelayLine.for_channel(channel))
+    rx = apply_multipath(tx, channel)
     fgrid = ofdm_demodulate(rx.reshape(n_symbols, cfg.samples_per_symbol), cfg)
-    rx_syms = []
-    for j, smap in enumerate(maps):
-        rx_syms.append(extract_data(equalize(fgrid[j], h, used=smap.data_indices), smap))
-    rx_bits = demap_symbols(np.concatenate(rx_syms), const)
+    h_data = h[smap.data_indices % cfg.n_subchannels]
+    rx_bits = demap_symbols(equalize(extract_data(fgrid, smap), h_data), const)
     return int(np.count_nonzero(rx_bits != bits)), bits.size
 
 
@@ -312,7 +304,7 @@ def test_circular_convolution_equivalence():
     rng = np.random.default_rng(11)
     freq = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     tx = ofdm_modulate(freq, cfg)
-    rx = apply_multipath(tx, channel, DelayLine.for_channel(channel))
+    rx = apply_multipath(tx, channel)
     back = ofdm_demodulate(rx, cfg)
     h = channel_frequency_response(channel, 128)
     assert np.max(np.abs(back - h * freq)) < 1e-10
