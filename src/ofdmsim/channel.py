@@ -42,14 +42,6 @@ class ChannelModel:
         return cls(((1.0 + 0.0j, 0),))
 
     @property
-    def gains(self) -> np.ndarray:
-        return np.array([g for g, _ in self.taps], dtype=np.complex128)
-
-    @property
-    def delays(self) -> np.ndarray:
-        return np.array([d for _, d in self.taps], dtype=np.intp)
-
-    @property
     def max_delay(self) -> int:
         return self.taps[-1][1]
 
@@ -91,28 +83,37 @@ def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream) -> np.ndarray:
     return xv + sigma * (re + 1j * im).reshape(xv.shape)
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text file; content that does not decode is bad
+    configuration, not an I/O failure."""
+    with open(path) as f:
+        try:
+            return f.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfiguration(f"{path} is not text: {exc}") from exc
+
+
 def load_channel_profile(path) -> ChannelModel:
     """Read a channel profile file: one "delay gain_real gain_imag" per line.
 
     Blank lines and '#' comments are ignored.
     """
     taps = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidConfiguration(
-                    f"{path}:{lineno}: expected 'delay gain_real gain_imag', got {raw!r}"
-                )
-            try:
-                delay = int(parts[0])
-                gain = complex(float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise InvalidConfiguration(f"{path}:{lineno}: {exc}") from exc
-            taps.append((gain, delay))
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise InvalidConfiguration(
+                f"{path}:{lineno}: expected 'delay gain_real gain_imag', got {raw!r}"
+            )
+        try:
+            delay = int(parts[0])
+            gain = complex(float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise InvalidConfiguration(f"{path}:{lineno}: {exc}") from exc
+        taps.append((gain, delay))
     if not taps:
         raise InvalidConfiguration(f"{path}: no channel taps found")
     return ChannelModel(tuple(taps))

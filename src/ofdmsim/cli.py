@@ -11,44 +11,36 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import ChannelModel, load_channel_profile
+from .channel import ChannelModel, load_channel_profile, read_lines
 from .errors import InvalidConfiguration, OfdmSimError
 from .harness import SweepSpec, run_sweep, write_csv
 from .modem import _AXIS_BITS, build_constellation, write_constellation_csv
-from .ofdm import OfdmConfig
+from .ofdm import PILOT_PATTERNS, OfdmConfig
 
-_DEFAULTS = {
-    "subchannels": 256,
-    "order": 4,
-    "snr_start": 0.0,
-    "snr_stop": 27.0,
-    "snr_step": 3.0,
-    "iterations": 100,
-    "symbols_per_iter": 10,
-    "cp_len": None,
-    "pilots": "comb",
-    "pilot_count": None,
-    "channel": None,
-    "seed": 1,
-    "workers": 1,
-    "out": None,
-}
 
-_TYPES = {
-    "subchannels": int,
-    "order": int,
-    "snr_start": float,
-    "snr_stop": float,
-    "snr_step": float,
-    "iterations": int,
-    "symbols_per_iter": int,
-    "cp_len": int,
-    "pilots": str,
-    "pilot_count": int,
-    "channel": str,
-    "seed": int,
-    "workers": int,
-    "out": str,
+def _path(raw: str) -> str:
+    """A path from a config file; open() takes no NUL byte."""
+    if "\0" in raw:
+        raise ValueError("a path cannot contain a NUL byte")
+    return raw
+
+
+# every setting: (type of its config-file value, default)
+_SETTINGS = {
+    "subchannels": (int, 256),
+    "order": (int, 4),
+    "snr_start": (float, 0.0),
+    "snr_stop": (float, 27.0),
+    "snr_step": (float, 3.0),
+    "iterations": (int, 100),
+    "symbols_per_iter": (int, 10),
+    "cp_len": (int, None),
+    "pilots": (str, "comb"),
+    "pilot_count": (int, None),
+    "channel": (_path, None),
+    "seed": (int, 1),
+    "workers": (int, 1),
+    "out": (_path, None),
 }
 
 
@@ -65,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, help="Monte Carlo iterations per SNR (default 100)")
     p.add_argument("--symbols-per-iter", type=int, help="OFDM symbols per iteration (default 10)")
     p.add_argument("--cp-len", type=int, help="cyclic prefix length in samples (default N/8)")
-    p.add_argument("--pilots", choices=("block", "comb", "random"), help="pilot pattern (default comb)")
+    p.add_argument("--pilots", choices=PILOT_PATTERNS, help="pilot pattern (default comb)")
     p.add_argument("--pilot-count", type=int, help="pilot subcarriers per symbol (default N/8)")
     p.add_argument("--channel", metavar="PATH", help="channel profile file (default: single unit tap)")
     p.add_argument("--seed", type=int, help="random seed (default 1)")
@@ -82,20 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_config_file(path: str) -> dict:
     values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise InvalidConfiguration(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise InvalidConfiguration(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def _merge_settings(args: argparse.Namespace, file_values: dict) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {key: default for key, (_, default) in _SETTINGS.items()}
     emit = False
     for key, raw in file_values.items():
         if key == "emit_constellation":
@@ -106,7 +97,7 @@ def _merge_settings(args: argparse.Namespace, file_values: dict) -> dict:
         if key not in settings:
             raise InvalidConfiguration(f"unknown config key {key!r}")
         try:
-            settings[key] = _TYPES[key](raw)
+            settings[key] = _SETTINGS[key][0](raw)
         except ValueError as exc:
             raise InvalidConfiguration(f"bad value for {key!r}: {raw!r}") from exc
     for key in settings:

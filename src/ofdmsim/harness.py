@@ -13,6 +13,7 @@ snr_db - 10*log10(bits_per_symbol * n_data/N).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -146,10 +147,11 @@ def snr_grid(spec: SweepSpec) -> list[float]:
 
 
 def _frame_chunk(
-    spec: SweepSpec, snr_db: float, iterations: range, const: Constellation, h: np.ndarray
+    spec: SweepSpec, const: Constellation, h: np.ndarray, task: tuple[float, range]
 ) -> tuple[int, int]:
-    """Transmit and receive the frames of a run of iterations as one
-    (iterations x symbols, N) tensor; return (bit_errors, data_bits)."""
+    """Transmit and receive the frames of a run of iterations at one SNR as
+    one (iterations x symbols, N) tensor; return (bit_errors, data_bits)."""
+    snr_db, iterations = task
     cfg = spec.cfg
     n_sym = spec.symbols_per_iteration
     streams = [seeded_stream(spec.seed, i) for i in iterations]
@@ -173,30 +175,39 @@ def _frame_chunk(
     return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
 
 
-def _point_chunk(args) -> tuple[int, int]:
-    spec, snr_db, lo, hi = args
+def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoint]:
+    """One BerPoint per SNR from one map over (SNR, frame chunk) tasks, run
+    in this process or on one pool of at most one worker per CPU."""
+    step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
+    chunks = [range(a, min(a + step, spec.iterations)) for a in range(0, spec.iterations, step)]
+    tasks = [(snr_db, chunk) for snr_db in snrs for chunk in chunks]
     const = build_constellation(spec.cfg.mod_order)
     h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
-    step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
-    errors = 0
-    bits = 0
-    for a in range(lo, hi, step):
-        e, b = _frame_chunk(spec, snr_db, range(a, min(a + step, hi)), const, h)
-        errors += e
-        bits += b
-    return errors, bits
+    task = functools.partial(_frame_chunk, spec, const, h)
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        counts = list(map(task, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(task, tasks))
 
-
-def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, total))
-    base, extra = divmod(total, chunks)
-    bounds = []
-    lo = 0
-    for c in range(chunks):
-        hi = lo + base + (1 if c < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    points = []
+    for k, snr_db in enumerate(snrs):
+        errors, bits = map(sum, zip(*counts[k * len(chunks) : (k + 1) * len(chunks)]))
+        ber = errors / bits if bits else 0.0
+        eb_n0 = eb_n0_db_for_snr(snr_db, spec.cfg)
+        points.append(
+            BerPoint(
+                snr_db=snr_db,
+                eb_n0_db=eb_n0,
+                bit_errors=errors,
+                bits_total=bits,
+                ber=ber,
+                analytic_ber=analytic_ber(spec.cfg.mod_order, eb_n0),
+                stderr_est=math.sqrt(ber * (1.0 - ber) / bits) if bits else 0.0,
+            )
+        )
+    return points
 
 
 def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerPoint:
@@ -205,34 +216,15 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerPoint:
     Only data bits are counted. Results are deterministic in (spec, seed)
     for any worker count; at most one process per CPU is started.
     """
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        errors, bits = _point_chunk((spec, snr_db, 0, spec.iterations))
-    else:
-        tasks = [(spec, snr_db, lo, hi) for lo, hi in _chunk_bounds(spec.iterations, workers)]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            partials = list(pool.map(_point_chunk, tasks))
-        errors = sum(e for e, _ in partials)
-        bits = sum(b for _, b in partials)
-    ber = errors / bits if bits else 0.0
-    stderr = math.sqrt(ber * (1.0 - ber) / bits) if bits else 0.0
-    eb_n0 = eb_n0_db_for_snr(snr_db, spec.cfg)
-    return BerPoint(
-        snr_db=snr_db,
-        eb_n0_db=eb_n0,
-        bit_errors=errors,
-        bits_total=bits,
-        ber=ber,
-        analytic_ber=analytic_ber(spec.cfg.mod_order, eb_n0),
-        stderr_est=stderr,
-    )
+    return _run_points(spec, [snr_db], workers)[0]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """One BerPoint per grid SNR from snr_start to snr_stop in snr_step steps."""
+    """One BerPoint per grid SNR from snr_start to snr_stop in snr_step steps;
+    the whole grid is one map, so a sweep starts at most one pool."""
     from . import __version__
 
-    points = tuple(run_ber_point(spec, snr, workers) for snr in snr_grid(spec))
+    points = tuple(_run_points(spec, snr_grid(spec), workers))
     metadata = {
         "seed": spec.seed,
         "version": __version__,

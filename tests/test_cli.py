@@ -1,6 +1,13 @@
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsim.cli import main
 
@@ -180,3 +187,81 @@ def test_workers_below_one_exits_two(tmp_path, capsys, value):
     conf.write_text(f"workers = {value}\n")
     assert main(["--config", str(conf), *_args(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, content", [("--config", b"order = 4\n\xff\n"), ("--channel", b"0 1 0\n\xff\n")]
+)
+def test_undecodable_file_exits_two(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    out = tmp_path / "result.csv"
+    assert main(_args(out, (flag, str(path)))) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["channel", "out"])
+def test_nul_byte_in_config_path_exits_two(tmp_path, capsys, key):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"subchannels = 8\niterations = 1\nsnr-stop = 0\n{key} = {tmp_path}/a\0b\n")
+    assert main(["--config", str(conf)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+
+
+# The last line of each of these keys in a fuzzed file takes one of its
+# values, or one of _BAD for at most one key; each is small or rejected before
+# any Monte Carlo draw, so no example sweeps more than 64 subchannels x 3
+# symbols x 2 iterations x 7 SNRs.
+_SIZES = {
+    "subchannels": ["8", "64"],
+    "iterations": ["1", "2"],
+    "symbols_per_iter": ["1", "3"],
+    "snr_start": ["-3", "0", "2.5"],
+    "snr_stop": ["3", "0"],
+    "snr_step": ["1", "2.5"],
+}
+_BAD = ["", "nan", "inf", "-inf", "-1", "0", "1e999", "48", "x"]
+_KEYS = st.one_of(
+    st.sampled_from(
+        ["order", "cp-len", "pilots", "pilot_count", "channel", "seed", "workers",
+         "emit-constellation", "snr-start", "iterations", "subchannels", "config"]
+    ),
+    st.text(max_size=8),
+)
+_VALUES = st.one_of(
+    st.sampled_from([*_BAD, "4", "16", "true", "comb", "random"]),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+)
+
+
+def _utf8(s) -> bytes:
+    # a lone surrogate becomes bytes that do not decode as UTF-8
+    return s if isinstance(s, bytes) else s.encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_KEYS, _VALUES), max_size=4),
+    sizes=st.fixed_dictionaries({key: st.sampled_from(values) for key, values in _SIZES.items()}),
+    bad=st.one_of(st.none(), st.tuples(st.sampled_from(list(_SIZES)), st.sampled_from(_BAD))),
+    out_name=st.text(st.characters(blacklist_characters="/"), max_size=8),
+)
+def test_fuzzed_config_file_exits_with_a_documented_code(lines, sizes, bad, out_name):
+    if bad:
+        sizes[bad[0]] = bad[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "sweep.conf"
+        # out comes last, so every example writes only inside the temporary directory
+        tail = [*sizes.items(), ("out", f"{tmp}/{out_name}")]
+        conf.write_bytes(b"".join(_utf8(k) + b" = " + _utf8(v) + b"\n" for k, v in [*lines, *tail]))
+        stderr = io.StringIO()
+        with mock.patch("os.cpu_count", return_value=1), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(stderr):
+                code = main(["--config", str(conf)])
+    assert code in (0, 2, 3)
+    if code:
+        assert len(stderr.getvalue().splitlines()) == 1

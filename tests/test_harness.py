@@ -119,13 +119,15 @@ def test_parallel_workers_match_sequential():
     assert seq == par
 
 
-def test_workers_capped_at_cpu_count():
-    # an in-process stand-in for the pool, so no process is started
-    pools = []
+@pytest.fixture
+def pools():
+    """max_workers of every pool the harness starts; an in-process stand-in
+    replaces the pool, so no process is started."""
+    started = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -136,16 +138,40 @@ def test_workers_capped_at_cpu_count():
         def map(self, fn, tasks):
             return map(fn, tasks)
 
+    with mock.patch.object(harness, "ProcessPoolExecutor", RecordingPool):
+        yield started
+
+
+def test_workers_capped_at_cpu_count(pools):
     spec = _spec(n=64, pilots=8, iterations=12)
     seq = run_ber_point(spec, 6.0, workers=1)
-    with mock.patch.object(harness, "ProcessPoolExecutor", RecordingPool):
-        with mock.patch("os.cpu_count", return_value=2):
-            capped = run_ber_point(spec, 6.0, workers=100_000)
-        with mock.patch("os.cpu_count", return_value=None):
-            unknown = run_ber_point(spec, 6.0, workers=100_000)
+    with mock.patch("os.cpu_count", return_value=2):
+        capped = run_ber_point(spec, 6.0, workers=100_000)
+    with mock.patch("os.cpu_count", return_value=None):
+        unknown = run_ber_point(spec, 6.0, workers=100_000)
     assert pools == [2]
     assert capped == seq
     assert unknown == seq
+
+
+def test_sweep_starts_one_pool(pools):
+    spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
+    per_point = tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
+    assert len(per_point) == 3
+    with mock.patch("os.cpu_count", return_value=2):
+        pooled = run_sweep(spec, workers=100_000)
+    assert pools == [2]
+    assert pooled.points == run_sweep(spec, workers=1).points == per_point
+
+
+def test_sweep_splits_chunk_counts_by_snr():
+    # 2 iterations per chunk: 5 iterations make chunks of 2, 2 and 1 at each SNR
+    spec = _spec(n=64, pilots=8, iterations=5, snr_stop_db=12.0, snr_step_db=4.0)
+    chunk_samples = 2 * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
+    with mock.patch.object(harness, "_CHUNK_SAMPLES", chunk_samples):
+        points = run_sweep(spec).points
+    assert len(points) == 4
+    assert points == tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
 
 
 def test_order_dominance_at_fixed_snr():
