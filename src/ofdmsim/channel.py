@@ -83,14 +83,17 @@ def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream) -> np.ndarray:
     return xv + sigma * (re + 1j * im).reshape(xv.shape)
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a text file; content that does not decode is bad
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, content) of each line of a text file that holds more
+    than blanks and a '#' comment; content that does not decode is bad
     configuration, not an I/O failure."""
     with open(path) as f:
         try:
-            return f.readlines()
+            lines = f.readlines()
         except UnicodeDecodeError as exc:
             raise InvalidConfiguration(f"{path} is not text: {exc}") from exc
+    content = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(lines, start=1))
+    return [(lineno, line) for lineno, line in content if line]
 
 
 def load_channel_profile(path) -> ChannelModel:
@@ -99,14 +102,11 @@ def load_channel_profile(path) -> ChannelModel:
     Blank lines and '#' comments are ignored.
     """
     taps = []
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 3:
             raise InvalidConfiguration(
-                f"{path}:{lineno}: expected 'delay gain_real gain_imag', got {raw!r}"
+                f"{path}:{lineno}: expected 'delay gain_real gain_imag', got {line!r}"
             )
         try:
             delay = int(parts[0])

@@ -1,9 +1,10 @@
 """Command-line front end for BER sweeps.
 
 Every flag can also come from a config file of "key = value" lines (keys are
-the flag names without the leading dashes); flags given on the command line
-override file values. Exit codes: 0 success, 2 invalid configuration,
-3 I/O failure.
+the exact flag names without the leading dashes): each line becomes a
+"--key=value" flag placed before the command line's, so flags given on the
+command line win. Exit codes: 0 success, 2 invalid configuration, 3 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -19,93 +20,69 @@ from .ofdm import PILOT_PATTERNS, OfdmConfig
 
 
 def _path(raw: str) -> str:
-    """A path from a config file; open() takes no NUL byte."""
+    """A file path; open() takes no NUL byte."""
     if "\0" in raw:
-        raise ValueError("a path cannot contain a NUL byte")
+        raise argparse.ArgumentTypeError("a path cannot contain a NUL byte")
     return raw
 
 
-# every setting: (type of its config-file value, default)
-_SETTINGS = {
-    "subchannels": (int, 256),
-    "order": (int, 4),
-    "snr_start": (float, 0.0),
-    "snr_stop": (float, 27.0),
-    "snr_step": (float, 3.0),
-    "iterations": (int, 100),
-    "symbols_per_iter": (int, 10),
-    "cp_len": (int, None),
-    "pilots": (str, "comb"),
-    "pilot_count": (int, None),
-    "channel": (_path, None),
-    "seed": (int, 1),
-    "workers": (int, 1),
-    "out": (_path, None),
-}
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "false", "yes", "no", "1", "0"):
+        raise argparse.ArgumentTypeError(f"expected true|false|yes|no|1|0, got {raw!r}")
+    return raw.lower() in ("true", "yes", "1")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as invalid configuration, in one line, not usage text."""
+
+    def error(self, message):
+        raise InvalidConfiguration(" ".join(message.split()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ofdmsim",
         description="Monte Carlo bit-error-rate sweeps for a QAM/OFDM link.",
+        allow_abbrev=False,
     )
-    p.add_argument("--subchannels", type=int, help="number of subcarriers N, power of 2 (default 256)")
-    p.add_argument("--order", type=int, choices=tuple(_AXIS_BITS), help="modulation order (default 4)")
-    p.add_argument("--snr-start", type=float, help="first SNR in dB (default 0)")
-    p.add_argument("--snr-stop", type=float, help="last SNR in dB (default 27)")
-    p.add_argument("--snr-step", type=float, help="SNR grid step in dB (default 3)")
-    p.add_argument("--iterations", type=int, help="Monte Carlo iterations per SNR (default 100)")
-    p.add_argument("--symbols-per-iter", type=int, help="OFDM symbols per iteration (default 10)")
+    p.add_argument("--subchannels", type=int, default=256, help="number of subcarriers N, power of 2 (default %(default)s)")
+    p.add_argument("--order", type=int, choices=tuple(_AXIS_BITS), default=4, help="modulation order (default %(default)s)")
+    p.add_argument("--snr-start", type=float, default=0.0, help="first SNR in dB (default %(default)s)")
+    p.add_argument("--snr-stop", type=float, default=27.0, help="last SNR in dB (default %(default)s)")
+    p.add_argument("--snr-step", type=float, default=3.0, help="SNR grid step in dB (default %(default)s)")
+    p.add_argument("--iterations", type=int, default=100, help="Monte Carlo iterations per SNR (default %(default)s)")
+    p.add_argument("--symbols-per-iter", type=int, default=10, help="OFDM symbols per iteration (default %(default)s)")
     p.add_argument("--cp-len", type=int, help="cyclic prefix length in samples (default N/8)")
-    p.add_argument("--pilots", choices=PILOT_PATTERNS, help="pilot pattern (default comb)")
-    p.add_argument("--pilot-count", type=int, help="pilot subcarriers per symbol (default N/8)")
-    p.add_argument("--channel", metavar="PATH", help="channel profile file (default: single unit tap)")
-    p.add_argument("--seed", type=int, help="random seed (default 1)")
-    p.add_argument("--workers", type=int, help="worker processes per SNR point (default 1)")
-    p.add_argument("--out", metavar="PATH", help="write the sweep CSV here")
-    p.add_argument("--config", metavar="PATH", help="key = value file mirroring the flags above")
+    p.add_argument("--pilots", choices=PILOT_PATTERNS, default="comb", help="pilot pattern (default %(default)s)")
+    p.add_argument("--pilot-count", type=int, help="pilot subcarriers per symbol, comb or random pilots (default N/8)")
+    p.add_argument("--channel", type=_path, metavar="PATH", help="channel profile file (default: single unit tap)")
+    p.add_argument("--seed", type=int, default=1, help="random seed (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes per sweep (default %(default)s)")
+    p.add_argument("--out", type=_path, metavar="PATH", help="write the sweep CSV here")
+    p.add_argument("--config", type=_path, metavar="PATH", help="key = value file mirroring the flags above")
     p.add_argument(
         "--emit-constellation",
-        action="store_true",
+        type=_boolean,
+        nargs="?",
+        const=True,
+        default=False,
+        metavar="BOOL",
         help="dump the (label, point) table for --order as CSV and exit",
     )
     return p
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
+def _config_flags(path: str) -> list[str]:
+    """Each "key = value" line of a config file as a "--key=value" flag."""
+    flags = []
+    for lineno, line in read_lines(path):
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise InvalidConfiguration(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge_settings(args: argparse.Namespace, file_values: dict) -> dict:
-    settings = {key: default for key, (_, default) in _SETTINGS.items()}
-    emit = False
-    for key, raw in file_values.items():
-        if key == "emit_constellation":
-            if raw.lower() not in ("true", "false", "0", "1", "yes", "no"):
-                raise InvalidConfiguration(f"emit-constellation must be boolean, got {raw!r}")
-            emit = raw.lower() in ("true", "1", "yes")
-            continue
-        if key not in settings:
-            raise InvalidConfiguration(f"unknown config key {key!r}")
-        try:
-            settings[key] = _SETTINGS[key][0](raw)
-        except ValueError as exc:
-            raise InvalidConfiguration(f"bad value for {key!r}: {raw!r}") from exc
-    for key in settings:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    settings["emit_constellation"] = args.emit_constellation or emit
-    return settings
+            raise InvalidConfiguration(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if key in ("config", "help"):
+            raise InvalidConfiguration(f"{path}:{lineno}: {key!r} is not a config file key")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def _print_summary(result) -> None:
@@ -127,45 +104,46 @@ def _print_summary(result) -> None:
 
 
 def _run(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    file_values = _parse_config_file(args.config) if args.config else {}
-    settings = _merge_settings(args, file_values)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args([*_config_flags(args.config), *argv])
 
-    if settings["emit_constellation"]:
-        const = build_constellation(settings["order"])
-        if settings["out"]:
-            write_constellation_csv(const, settings["out"])
-        else:
-            write_constellation_csv(const, sys.stdout)
+    if args.emit_constellation:
+        const = build_constellation(args.order)
+        write_constellation_csv(const, args.out or sys.stdout)
         return 0
 
-    if settings["workers"] < 1:
-        raise InvalidConfiguration(f"workers must be >= 1, got {settings['workers']}")
+    if args.workers < 1:
+        raise InvalidConfiguration(f"workers must be >= 1, got {args.workers}")
+    if args.pilots == "block" and args.pilot_count is not None:
+        raise InvalidConfiguration("block pilots fill whole symbols and take no pilot count")
     channel = ChannelModel.identity()
-    if settings["channel"]:
-        channel = load_channel_profile(settings["channel"])
+    if args.channel:
+        channel = load_channel_profile(args.channel)
 
     cfg = OfdmConfig(
-        n_subchannels=settings["subchannels"],
-        cp_len=settings["cp_len"],
-        pilot_pattern=settings["pilots"],
-        pilot_count=settings["pilot_count"],
-        mod_order=settings["order"],
+        n_subchannels=args.subchannels,
+        cp_len=args.cp_len,
+        pilot_pattern=args.pilots,
+        pilot_count=args.pilot_count,
+        mod_order=args.order,
     )
     spec = SweepSpec(
         cfg=cfg,
-        snr_start_db=settings["snr_start"],
-        snr_stop_db=settings["snr_stop"],
-        snr_step_db=settings["snr_step"],
-        iterations=settings["iterations"],
-        symbols_per_iteration=settings["symbols_per_iter"],
-        seed=settings["seed"],
+        snr_start_db=args.snr_start,
+        snr_stop_db=args.snr_stop,
+        snr_step_db=args.snr_step,
+        iterations=args.iterations,
+        symbols_per_iteration=args.symbols_per_iter,
+        seed=args.seed,
         channel=channel,
     )
-    result = run_sweep(spec, workers=settings["workers"])
+    result = run_sweep(spec, workers=args.workers)
     _print_summary(result)
-    if settings["out"]:
-        write_csv(result, settings["out"])
+    if args.out:
+        write_csv(result, args.out)
     return 0
 
 

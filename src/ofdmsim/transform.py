@@ -5,42 +5,38 @@ log2(N) butterfly stages, vectorized with numpy so 2-D inputs transform
 every row at once. Forward transform is unscaled, the inverse carries the
 1/N factor, i.e. ifft(fft(x)) == x.
 
-Twiddle factors and bit-reversal permutations are cached per length;
-the caches are initialize-once/read-many and safe under the GIL.
+Twiddle factors and bit-reversal permutations are computed once per length
+by functools.cache functions and returned as read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NonPowerOfTwoLength
-
-_twiddle_cache: dict[tuple[int, int], np.ndarray] = {}
-_bitrev_cache: dict[int, np.ndarray] = {}
 
 
 def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+@functools.cache
 def _bit_reverse_indices(n: int) -> np.ndarray:
-    perm = _bitrev_cache.get(n)
-    if perm is None:
-        stages = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.intp)
-        idx = np.arange(n)
-        for _ in range(stages):
-            rev = (rev << 1) | (idx & 1)
-            idx = idx >> 1
-        _bitrev_cache[n] = perm = rev
-    return perm
+    rev = np.zeros(n, dtype=np.intp)
+    idx = np.arange(n)
+    for _ in range(n.bit_length() - 1):
+        rev = (rev << 1) | (idx & 1)
+        idx = idx >> 1
+    rev.setflags(write=False)
+    return rev
 
 
+@functools.cache
 def _twiddles(n: int, sign: int) -> np.ndarray:
-    w = _twiddle_cache.get((n, sign))
-    if w is None:
-        w = np.exp(sign * 2j * np.pi * np.arange(n // 2) / n)
-        _twiddle_cache[(n, sign)] = w
+    w = np.exp(sign * 2j * np.pi * np.arange(n // 2) / n)
+    w.setflags(write=False)
     return w
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.cli import main
+from ofdmsim.cli import _build_parser, main
 
 
 def _args(out, extra=()):
@@ -71,10 +73,60 @@ def test_invalid_configuration_exit_code(tmp_path):
     assert main(args) == 2
 
 
-def test_bad_flag_value_exits_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["--order", "5"])
-    assert exc.value.code == 2
+def test_bad_flag_value_exits_two(tmp_path, capsys):
+    assert main(["--order", "5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+
+
+def _one_line_exit_two(capsys, code, out):
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+    assert not out.exists()
+
+
+def _conf_argv(tmp_path, out, line):
+    """A --config sweep whose file holds the small sizes of _args, then line."""
+    flags = _args(out)
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])) + line + "\n")
+    return ["--config", str(conf)]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("order", "5"), ("iterations", "many"), ("workers", "0"), ("ord", "8"), ("bogus", "1"),
+     ("emit-constellation", "maybe")],
+)
+def test_bad_flag_and_bad_file_value_exit_two_alike(tmp_path, capsys, key, value):
+    out = tmp_path / "result.csv"
+    _one_line_exit_two(capsys, main(_args(out, (f"--{key}={value}",))), out)
+    _one_line_exit_two(capsys, main(_conf_argv(tmp_path, out, f"{key} = {value}")), out)
+
+
+@pytest.mark.parametrize("key", ["config", "help"])
+def test_config_file_cannot_set_config_or_help(tmp_path, capsys, key):
+    out = tmp_path / "result.csv"
+    _one_line_exit_two(capsys, main(_conf_argv(tmp_path, out, f"{key} = x")), out)
+
+
+def test_block_pilots_take_no_pilot_count(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    with mock.patch("ofdmsim.cli.run_sweep", side_effect=AssertionError("swept")):
+        _one_line_exit_two(capsys, main(_args(out, ("--pilots", "block", "--pilot-count", "0"))), out)
+        argv = _conf_argv(tmp_path, out, "pilots = block\npilot-count = 8")
+        _one_line_exit_two(capsys, main(argv), out)
+    assert capsys.readouterr().out == ""
+    assert main(_args(out, ("--pilots", "block"))) == 0
+
+
+def test_readme_flags_paragraph_names_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Flags:.*?(?=\n\n)", readme, re.S | re.M).group()
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    options = {s for a in _build_parser()._actions for s in a.option_strings if s.startswith("--")}
+    assert documented == options - {"--help"}
 
 
 @pytest.mark.parametrize("flag", ["--snr-start", "--snr-stop", "--snr-step"])
@@ -218,15 +270,15 @@ def test_nul_byte_in_config_path_exits_two(tmp_path, capsys, key):
 _SIZES = {
     "subchannels": ["8", "64"],
     "iterations": ["1", "2"],
-    "symbols_per_iter": ["1", "3"],
-    "snr_start": ["-3", "0", "2.5"],
-    "snr_stop": ["3", "0"],
-    "snr_step": ["1", "2.5"],
+    "symbols-per-iter": ["1", "3"],
+    "snr-start": ["-3", "0", "2.5"],
+    "snr-stop": ["3", "0"],
+    "snr-step": ["1", "2.5"],
 }
 _BAD = ["", "nan", "inf", "-inf", "-1", "0", "1e999", "48", "x"]
 _KEYS = st.one_of(
     st.sampled_from(
-        ["order", "cp-len", "pilots", "pilot_count", "channel", "seed", "workers",
+        ["order", "cp-len", "pilots", "pilot-count", "channel", "seed", "workers",
          "emit-constellation", "snr-start", "iterations", "subchannels", "config"]
     ),
     st.text(max_size=8),
@@ -243,14 +295,21 @@ def _utf8(s) -> bytes:
     return s if isinstance(s, bytes) else s.encode("utf-8", "surrogatepass")
 
 
+def _arg(s) -> str:
+    # bytes reach sys.argv decoded as the file system encoding decodes them
+    return os.fsdecode(s) if isinstance(s, bytes) else s
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     lines=st.lists(st.tuples(_KEYS, _VALUES), max_size=4),
     sizes=st.fixed_dictionaries({key: st.sampled_from(values) for key, values in _SIZES.items()}),
     bad=st.one_of(st.none(), st.tuples(st.sampled_from(list(_SIZES)), st.sampled_from(_BAD))),
     out_name=st.text(st.characters(blacklist_characters="/"), max_size=8),
+    via=st.sampled_from(["file", "argv"]),
 )
-def test_fuzzed_config_file_exits_with_a_documented_code(lines, sizes, bad, out_name):
+def test_fuzzed_config_file_exits_with_a_documented_code(lines, sizes, bad, out_name, via):
+    """The same drawn lines as a --config file or as --key=value flags."""
     if bad:
         sizes[bad[0]] = bad[1]
     with tempfile.TemporaryDirectory() as tmp:
@@ -258,10 +317,16 @@ def test_fuzzed_config_file_exits_with_a_documented_code(lines, sizes, bad, out_
         # out comes last, so every example writes only inside the temporary directory
         tail = [*sizes.items(), ("out", f"{tmp}/{out_name}")]
         conf.write_bytes(b"".join(_utf8(k) + b" = " + _utf8(v) + b"\n" for k, v in [*lines, *tail]))
+        argv = ["--config", str(conf)]
+        if via == "argv":
+            argv = [f"--{_arg(k)}={_arg(v)}" for k, v in [*lines, *tail]]
         stderr = io.StringIO()
         with mock.patch("os.cpu_count", return_value=1), contextlib.redirect_stdout(io.StringIO()):
             with contextlib.redirect_stderr(stderr):
-                code = main(["--config", str(conf)])
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    pytest.fail(f"SystemExit({exc.code}) escaped main for {argv}")
     assert code in (0, 2, 3)
     if code:
         assert len(stderr.getvalue().splitlines()) == 1

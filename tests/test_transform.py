@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ofdmsim.errors import NonPowerOfTwoLength
-from ofdmsim.transform import fft, ifft
+from ofdmsim.transform import _bit_reverse_indices, _twiddles, fft, ifft
 
 
 def dft_direct(x):
@@ -105,3 +105,11 @@ def test_cross_check_against_numpy_fft():
     x = _random_complex(rng, 4096)
     assert np.max(np.abs(fft(x) - np.fft.fft(x))) < 1e-10
     assert np.max(np.abs(ifft(x) - np.fft.ifft(x))) < 1e-12
+
+
+def test_cached_tables_are_shared_and_read_only():
+    for make, args in ((_bit_reverse_indices, (64,)), (_twiddles, (64, -1))):
+        table = make(*args)
+        assert make(*args) is table
+        with pytest.raises(ValueError):
+            table[0] = 0
