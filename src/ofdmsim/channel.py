@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfiguration, NonPositiveRefPower
-from .numerics import RngStream
+from .numerics import BLOCK, RngStream
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,13 @@ class ChannelModel:
         return self.taps[-1][1]
 
 
-def apply_multipath(x, ch: ChannelModel) -> np.ndarray:
+def apply_multipath(x, ch: ChannelModel, *, out=None) -> np.ndarray:
     """FIR-filter each row along the last axis, starting from silence:
-    samples before the start of a row are zero."""
+    samples before the start of a row are zero. out must not overlap x."""
     xv = np.asarray(x, dtype=np.complex128)
     n = xv.shape[-1]
-    y = np.zeros(xv.shape, dtype=np.complex128)
+    y = np.empty(xv.shape, dtype=np.complex128) if out is None else out
+    y[...] = 0
     for gain, delay in ch.taps:
         if delay < n:
             y[..., delay:] += gain * xv[..., : n - delay]
@@ -66,7 +67,7 @@ def signal_power(x) -> np.ndarray | float:
     return np.mean(np.abs(xv) ** 2, axis=-1)
 
 
-def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream) -> np.ndarray:
+def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream, *, out=None) -> np.ndarray:
     """Add complex white Gaussian noise at the commanded SNR.
 
     Per-sample noise variance is ref_power / 10^(snr_db/10), split equally
@@ -75,12 +76,15 @@ def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream) -> np.ndarray:
     if not ref_power > 0:
         raise NonPositiveRefPower(f"reference power must be > 0, got {ref_power}")
     xv = np.asarray(x, dtype=np.complex128)
+    out = np.positive(xv, out=out, order="C")  # a copy of x, into out when one is given
     if math.isinf(snr_db) and snr_db > 0:
-        return xv.copy()
+        return out
     noise_power = ref_power * 10.0 ** (-snr_db / 10.0)
     sigma = math.sqrt(noise_power / 2.0)
-    re, im = rng.gaussian_pairs(xv.size)
-    return xv + sigma * (re + 1j * im).reshape(xv.shape)
+    for a in range(0, xv.size, BLOCK):  # the same draws, in order, as one call
+        re, im = rng.gaussian_pairs(min(BLOCK, xv.size - a))
+        out.reshape(xv.size, copy=False)[a : a + re.size] += sigma * (re + 1j * im)  # raises if not a view
+    return out
 
 
 def read_lines(path) -> list[tuple[int, str]]:

@@ -2,9 +2,8 @@
 
 Every flag can also come from a config file of "key = value" lines (keys are
 the exact flag names without the leading dashes): each line becomes a
-"--key=value" flag placed before the command line's, so flags given on the
-command line win. Exit codes: 0 success, 2 invalid configuration, 3 I/O
-failure.
+"--key=value" flag placed before the command line's, so command-line flags
+win. Exit codes: 0 success, 2 bad configuration or failed run, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -119,9 +118,7 @@ def _run(argv) -> int:
         raise InvalidConfiguration(f"workers must be >= 1, got {args.workers}")
     if args.pilots == "block" and args.pilot_count is not None:
         raise InvalidConfiguration("block pilots fill whole symbols and take no pilot count")
-    channel = ChannelModel.identity()
-    if args.channel:
-        channel = load_channel_profile(args.channel)
+    channel = load_channel_profile(args.channel) if args.channel else ChannelModel.identity()
 
     cfg = OfdmConfig(
         n_subchannels=args.subchannels,
@@ -140,7 +137,11 @@ def _run(argv) -> int:
         seed=args.seed,
         channel=channel,
     )
-    result = run_sweep(spec, workers=args.workers)
+    try:
+        result = run_sweep(spec, workers=args.workers)
+    except OfdmSimError as exc:  # the settings were valid: the run itself failed
+        print(f"ofdmsim: simulation failed: {exc}", file=sys.stderr)
+        return 2
     _print_summary(result)
     if args.out:
         write_csv(result, args.out)

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from .errors import InvalidConfiguration, SingularChannelGain
 from .modem import Constellation, build_constellation, demap_symbols, map_bits
-from .numerics import RngStream, q_function, seeded_stream
+from .numerics import RngStream, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
     allocate_subcarriers,
@@ -43,9 +43,9 @@ _TAG_NOISE = 2
 _TAG_ALLOC = 3
 
 # Iterations run in chunks of about this many time samples, each chunk as one
-# frame tensor, so allocation, transforms, multipath, equalization and
-# demapping cost one call per chunk. At N = 64 with 10 symbols a chunk holds 5
-# iterations; from N = 256 up it holds one, so long rows take no more memory.
+# frame tensor, so every stage costs one call per chunk: 5 iterations at N = 64
+# with 10 symbols, one from N = 256 up. Each thread keeps a workspace of two
+# frame tensors for its last chunk shape (1.5 MB at N = 4096, 10 symbols).
 _CHUNK_SAMPLES = 4096
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
@@ -159,19 +159,22 @@ def _frame_chunk(
     frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
     tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
 
-    grid = build_frequency_symbol(map_bits(tx_bits, const), smap, cfg)
+    # each stage writes to the workspace frame that its input is not in
+    rows, n_data = len(streams) * n_sym, smap.data_indices.size
+    a, b = workspace("chunk", (2, rows * cfg.samples_per_symbol))
+    grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
+    build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
 
     # one row per frame: each starts from silence and draws its own noise
-    tx = ofdm_modulate(grid, cfg).reshape(len(streams), -1)
-    rx = apply_multipath(tx, spec.channel)
+    tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
+    faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
     power = signal_power(tx)
     for frame, s in enumerate(streams):
-        rx[frame] = add_awgn(rx[frame], snr_db, power[frame], s.child(_TAG_NOISE))
+        add_awgn(faded[frame], snr_db, power[frame], s.child(_TAG_NOISE), out=tx[frame])
 
-    fgrid = ofdm_demodulate(rx.reshape(grid.shape[0], -1), cfg)
-    h_data = h[smap.data_indices % cfg.n_subchannels]
-    rx_syms = equalize(extract_data(fgrid, smap), h_data)
-    rx_bits = demap_symbols(rx_syms, const)
+    data = extract_data(ofdm_demodulate(tx.reshape(rows, -1), cfg, out=grid), smap, out=b[:n_data])
+    h_data = np.take(h, smap.data_indices, out=a[:n_data], mode="wrap")  # bin = flat index mod N
+    rx_bits = demap_symbols(equalize(data, h_data, out=data), const)
     return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
 
 

@@ -71,19 +71,18 @@ def build_constellation(order: int) -> Constellation:
     return Constellation(order=order, bits_per_symbol=i_bits + q_bits, points=points)
 
 
-def map_bits(bits, c: Constellation) -> np.ndarray:
+def map_bits(bits, c: Constellation, *, out=None) -> np.ndarray:
     """Map a {0,1} bit block to constellation points, bits_per_symbol at a time."""
     b = np.asarray(bits, dtype=np.uint8).ravel()
     k = c.bits_per_symbol
     if b.size % k != 0:
-        raise LengthNotDivisible(
-            f"bit block length {b.size} not divisible by bits_per_symbol {k}"
-        )
-    groups = b.reshape(-1, k).astype(np.intp)
-    vals = np.zeros(groups.shape[0], dtype=np.intp)
+        raise LengthNotDivisible(f"bit block length {b.size} not divisible by bits_per_symbol {k}")
+    if b.size and b.max() > 1:
+        raise ValueError(f"bits must be 0 or 1, got {b.max()}")
+    vals = np.zeros(b.size // k, dtype=np.intp)
     for col in range(k):  # MSB first
-        vals = (vals << 1) | groups[:, col]
-    return c.points[vals]
+        vals = (vals << 1) | b[col::k]
+    return np.take(c.points, vals, out=out, mode="clip")  # labels of 0/1 bits are in range
 
 
 @functools.cache

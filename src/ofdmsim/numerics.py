@@ -10,7 +10,9 @@ alignment-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -18,6 +20,8 @@ from numpy.random.bit_generator import ISeedSequence
 _MASK64 = (1 << 64) - 1
 
 _SQRT2 = math.sqrt(2.0)
+BLOCK = 4096  # draws per pass over a long array: temporaries the heap recycles
+_scratch = threading.local()  # each thread's {owner: its workspace array}
 
 
 def _splitmix64(z: int) -> int:
@@ -26,6 +30,19 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+@functools.lru_cache(maxsize=4096)
+def _path_hash(p: int) -> int:
+    return _splitmix64((p & _MASK64) ^ 0xD1B54A32D192ED03)  # tags and symbol indices recur
+
+
+def workspace(owner: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's complex scratch array for owner; a new shape replaces it."""
+    arrays = vars(_scratch)
+    if owner not in arrays or arrays[owner].shape != shape:
+        arrays[owner] = np.empty(shape, dtype=np.complex128)
+    return arrays[owner]
 
 
 class _PhiloxKey(ISeedSequence):
@@ -70,7 +87,7 @@ class RngStream:
         """
         sid = self.stream_id
         for p in path:
-            sid = _splitmix64(sid ^ _splitmix64((int(p) & _MASK64) ^ 0xD1B54A32D192ED03))
+            sid = _splitmix64(sid ^ _path_hash(int(p)))
         return RngStream(self.seed, sid)
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -79,7 +96,10 @@ class RngStream:
 
     def bits(self, n: int) -> np.ndarray:
         """Next n equiprobable bits as uint8; consumes one uniform per bit."""
-        return (self._gen.random(n) < 0.5).astype(np.uint8)
+        out = np.empty(n, dtype=np.uint8)
+        for a in range(0, n, BLOCK):
+            np.less(self._gen.random(min(BLOCK, n - a)), 0.5, out=out[a : a + BLOCK].view(np.bool_))
+        return out
 
     def gaussian_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n independent standard-normal pairs via Box-Muller (2 uniforms each)."""

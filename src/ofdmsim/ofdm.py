@@ -171,23 +171,21 @@ def allocate_subcarriers(
     return SubcarrierMap(pilot_indices=pilots, data_indices=data, pilot_values=values)
 
 
-def build_frequency_symbol(data, smap: SubcarrierMap, cfg: OfdmConfig) -> np.ndarray:
+def build_frequency_symbol(data, smap: SubcarrierMap, cfg: OfdmConfig, *, out=None) -> np.ndarray:
     """Place data symbols (ascending flat index order) and pilots on the
-    (R, N) grid of the map."""
+    (R, N) grid of the map, which covers every bin."""
     d = np.asarray(data, dtype=np.complex128).ravel()
     if d.size != smap.data_indices.size:
-        raise LengthMismatch(
-            f"got {d.size} data symbols for {smap.data_indices.size} data subcarriers"
-        )
-    n = cfg.n_subchannels
-    out = np.zeros(((d.size + smap.pilot_indices.size) // n, n), dtype=np.complex128)
-    flat = out.reshape(-1)
+        raise LengthMismatch(f"got {d.size} data symbols for {smap.data_indices.size} data subcarriers")
+    size = d.size + smap.pilot_indices.size
+    out = np.empty((size // cfg.n_subchannels, cfg.n_subchannels), dtype=np.complex128) if out is None else out
+    flat = out.reshape(size, copy=False)
     flat[smap.data_indices] = d
     flat[smap.pilot_indices] = smap.pilot_values
     return out
 
 
-def ofdm_modulate(freq, cfg: OfdmConfig) -> np.ndarray:
+def ofdm_modulate(freq, cfg: OfdmConfig, *, out=None) -> np.ndarray:
     """IFFT plus cyclic prefix: output length N + cp_len.
 
     Accepts a length-N vector or an (S, N) array of S symbols.
@@ -196,19 +194,19 @@ def ofdm_modulate(freq, cfg: OfdmConfig) -> np.ndarray:
     n = cfg.n_subchannels
     if f.shape[-1] != n:
         raise LengthMismatch(f"frequency symbol length {f.shape[-1]} != N {n}")
-    time = transform.ifft(f)
-    if cfg.cp_len == 0:
-        return time
-    return np.concatenate([time[..., n - cfg.cp_len :], time], axis=-1)
+    out = np.empty(f.shape[:-1] + (cfg.samples_per_symbol,), dtype=np.complex128) if out is None else out
+    transform.ifft(f, out=out[..., cfg.cp_len :])
+    out[..., : cfg.cp_len] = out[..., n:]
+    return out
 
 
-def ofdm_demodulate(rx, cfg: OfdmConfig) -> np.ndarray:
+def ofdm_demodulate(rx, cfg: OfdmConfig, *, out=None) -> np.ndarray:
     """Drop the cyclic prefix and FFT back to the N subcarrier values."""
     r = np.asarray(rx, dtype=np.complex128)
-    expected = cfg.n_subchannels + cfg.cp_len
-    if r.shape[-1] != expected:
-        raise LengthMismatch(f"received symbol length {r.shape[-1]} != N + cp_len {expected}")
-    return transform.fft(r[..., cfg.cp_len : cfg.cp_len + cfg.n_subchannels])
+    if r.shape[-1] != cfg.samples_per_symbol:
+        raise LengthMismatch(f"received symbol length {r.shape[-1]} != N + cp_len {cfg.samples_per_symbol}")
+    out = np.positive(r[..., cfg.cp_len :], out=out, order="C")  # contiguous: the transform gathers from it in place
+    return transform.fft(out, out=out)
 
 
 def channel_frequency_response(ch: ChannelModel, n: int) -> np.ndarray:
@@ -220,7 +218,7 @@ def channel_frequency_response(ch: ChannelModel, n: int) -> np.ndarray:
     return h
 
 
-def equalize(freq, h) -> np.ndarray:
+def equalize(freq, h, *, out=None) -> np.ndarray:
     """Divide out the known channel response, element by element along the
     last axis; the caller gathers h on the bins it equalizes."""
     f = np.asarray(freq, dtype=np.complex128)
@@ -229,10 +227,12 @@ def equalize(freq, h) -> np.ndarray:
         raise LengthMismatch(f"vector length {f.shape[-1]} != response length {hv.size}")
     if np.any(np.abs(hv) < 1e-12):
         raise SingularChannelGain("channel response is zero on a used subcarrier")
-    return f / hv
+    return np.divide(f, hv, out=out)
 
 
-def extract_data(freq, smap: SubcarrierMap) -> np.ndarray:
-    """Read the data symbols of an (R, N) grid back out in ascending flat
-    index order."""
-    return np.asarray(freq, dtype=np.complex128).reshape(-1)[smap.data_indices]
+def extract_data(freq, smap: SubcarrierMap, *, out=None) -> np.ndarray:
+    """The data symbols of the map's (R, N) grid, in ascending flat index order."""
+    flat = np.asarray(freq, dtype=np.complex128).reshape(-1)
+    if flat.size != smap.data_indices.size + smap.pilot_indices.size:
+        raise LengthMismatch(f"a grid of {flat.size} bins does not match the map's subcarriers")
+    return np.take(flat, smap.data_indices, out=out, mode="clip")  # in range: the map covers the grid

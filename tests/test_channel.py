@@ -156,6 +156,23 @@ def test_awgn_rejects_bad_ref_power():
         add_awgn(np.ones(4, dtype=complex), 10.0, 0.0, seeded_stream(1, 0))
 
 
+@pytest.mark.parametrize("snr_db", [3.0, math.inf])
+def test_awgn_into_out_matches_a_fresh_array(snr_db):
+    x = (np.arange(24.0) + 1j).reshape(2, 12)
+    expected = add_awgn(x, snr_db, 1.0, seeded_stream(5))
+    out = np.full((2, 12), np.nan + 0j)
+    assert add_awgn(x, snr_db, 1.0, seeded_stream(5), out=out) is out
+    assert np.array_equal(out, expected)
+    transposed = add_awgn(x.T, snr_db, 1.0, seeded_stream(5))
+    assert np.array_equal(transposed, add_awgn(x.T.copy(), snr_db, 1.0, seeded_stream(5)))
+    gapped = np.empty((2, 13), dtype=complex)[:, :12]
+    if math.isinf(snr_db):
+        assert np.array_equal(add_awgn(x, snr_db, 1.0, seeded_stream(5), out=gapped), x)
+    else:
+        with pytest.raises(ValueError):  # noise written through a copy would be lost
+            add_awgn(x, snr_db, 1.0, seeded_stream(5), out=gapped)
+
+
 def test_load_channel_profile(tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text(

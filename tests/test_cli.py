@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofdmsim import harness
 from ofdmsim.cli import _build_parser, main
+from ofdmsim.errors import LengthMismatch
 
 
 def _args(out, extra=()):
@@ -204,6 +206,16 @@ def test_spectral_null_fails_before_any_sweep(tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("ofdmsim: invalid configuration:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_error_after_the_sweep_starts_is_a_failed_simulation(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    with mock.patch.object(harness, "_frame_chunk", side_effect=LengthMismatch("chunk of 3 for 4")):
+        assert main(_args(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ofdmsim: simulation failed: chunk of 3 for 4"]
     assert captured.out == ""
     assert not out.exists()
 

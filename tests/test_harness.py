@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -432,3 +435,64 @@ def test_spec_bounds_snr_grid_points():
             _spec(snr_start_db=0.0, snr_stop_db=stop, snr_step_db=step)
     with pytest.raises(InvalidConfiguration):
         _spec(snr_start_db=-1e308, snr_stop_db=1e308)
+
+
+def test_chunk_allocates_under_two_frames():
+    # every chunk-sized array lives in the reused workspace, so a warm point
+    # of long rows allocates less than two frame tensors at its peak
+    spec = _spec(n=4096, order=16, pilots=512, iterations=2)
+    frame_bytes = spec.symbols_per_iteration * spec.cfg.samples_per_symbol * 16
+    run_ber_point(spec, 6.0)
+    tracemalloc.start()
+    try:
+        run_ber_point(spec, 9.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * frame_bytes
+
+
+def test_threads_sharing_a_chunk_shape_match_sequential_runs():
+    # each thread has its own workspace; a short switch interval interleaves
+    # four threads on the same chunk shape often
+    specs = [_spec(n=64, pilots=8, iterations=12, seed=seed) for seed in range(4)]
+    expected = [run_ber_point(spec, 6.0) for spec in specs]
+    results = [None] * len(specs)
+
+    def run(k):
+        results[k] = run_ber_point(specs[k], 6.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+
+
+def test_alternating_chunk_shapes_match_oracle():
+    # one thread moving between workspaces of different shapes, with a short
+    # last chunk, must never see another shape's leftovers
+    specs = [
+        _spec(n=64, pilots=8, iterations=7, order=16),
+        _spec(n=32, pilots=0, iterations=3, pattern="random"),
+        SweepSpec(cfg=OfdmConfig(n_subchannels=16, cp_len=3, pilot_pattern="block"), iterations=5,
+                  symbols_per_iteration=3, channel=ChannelModel(((1.0, 0), (0.3j, 2)))),
+    ]
+    for spec in specs + specs[::-1]:
+        chunk_samples = 2 * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
+        with mock.patch.object(harness, "_CHUNK_SAMPLES", chunk_samples):
+            pt = run_ber_point(spec, 4.0)
+        assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 4.0)
+
+
+def test_noiseless_point_after_a_noisy_one_is_error_free():
+    spec = _spec(n=256, iterations=2, order=16)
+    assert run_ber_point(spec, 0.0).bit_errors > 0
+    assert run_ber_point(spec, math.inf).bit_errors == 0

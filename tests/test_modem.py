@@ -58,6 +58,12 @@ def test_order8_point_set():
     }
 
 
+@pytest.mark.parametrize("bits", [[0, 2], [2, 0, 0, 1], [0, 0, 1, 255]])
+def test_bits_other_than_zero_or_one_are_refused(bits):
+    with pytest.raises(ValueError):
+        map_bits(np.array(bits, dtype=np.uint8), build_constellation(4))
+
+
 @pytest.mark.parametrize("order", [4, 8, 16])
 def test_unit_average_energy(order):
     c = build_constellation(order)

@@ -1,10 +1,41 @@
 import math
+import threading
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 
-from ofdmsim.numerics import gaussian_pair, q_function, seeded_stream
+from ofdmsim.numerics import RngStream, gaussian_pair, q_function, seeded_stream, workspace
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_reference(z):
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _child_id_reference(stream_id, *path):
+    """Child stream id, hashed in full for every path element."""
+    sid = stream_id
+    for p in path:
+        sid = _splitmix64_reference(sid ^ _splitmix64_reference((int(p) & _MASK64) ^ 0xD1B54A32D192ED03))
+    return sid
+
+
+@pytest.mark.parametrize(
+    "path",
+    [(1,), (2,), (3,), (101, 0), (102, 9), (101, 4095), (0,), (2**64 - 1,), (-1,), (-1, 2**64 - 1, 7), (np.int64(5),)],
+)
+def test_child_ids_match_the_uncached_hash(path):
+    for stream_id in (0, 1, 12345, 2**64 - 1):
+        for _ in range(2):  # the second round reads the cached path hashes
+            child = RngStream(7, stream_id).child(*path)
+            assert child.stream_id == _child_id_reference(stream_id, *path)
+            assert child.seed == 7
 
 
 def test_same_seed_and_stream_id_reproduces_sequence():
@@ -97,3 +128,27 @@ def test_stream_is_philox_keyed_by_stream_id_and_seed():
     for seed, sid in ((1, 0), (0, 2**64 - 1), (2**64 - 1, 12345), (987654321, 2**63 + 5)):
         ref = np.random.Generator(np.random.Philox(counter=0, key=(sid << 64) | seed))
         assert np.array_equal(seeded_stream(seed, sid).uniforms(1000), ref.random(1000))
+
+
+def test_workspace_is_kept_per_owner_and_shape():
+    a = workspace("test-owner", (3, 8))
+    assert workspace("test-owner", (3, 8)) is a
+    assert a.dtype == np.complex128 and a.flags.c_contiguous
+    assert workspace("test-other-owner", (3, 8)) is not a
+
+
+def test_workspace_of_a_new_shape_releases_the_old_one():
+    big = weakref.ref(workspace("test-owner", (64, 1024)))
+    small = workspace("test-owner", (2, 8))
+    assert big() is None
+    assert workspace("test-owner", (2, 8)) is small
+
+
+def test_workspace_belongs_to_its_thread():
+    mine = workspace("test-owner", (4,))
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(weakref.ref(workspace("test-owner", (4,)))))
+    thread.start()
+    thread.join()
+    assert seen[0]() is None  # freed with its thread
+    assert workspace("test-owner", (4,)) is mine

@@ -142,6 +142,29 @@ def test_build_length_mismatch():
         build_frequency_symbol(np.zeros(3, dtype=complex), smap, cfg)
 
 
+def test_extract_from_a_grid_the_map_does_not_cover():
+    cfg = OfdmConfig(n_subchannels=8, pilot_count=2, cp_len=1)
+    smap = _one_symbol(cfg, 0, seeded_stream(1, 0))
+    with pytest.raises(LengthMismatch):
+        extract_data(np.zeros((1, 4), dtype=complex), smap)
+    with pytest.raises(LengthMismatch):
+        extract_data(np.zeros((2, 8), dtype=complex), smap)
+
+
+def test_build_into_an_out_it_cannot_fill_in_place():
+    # a grid written through a copy would be lost, so such an out is refused
+    cfg = OfdmConfig(n_subchannels=8, pilot_count=2, cp_len=1)
+    smap = allocate_subcarriers(cfg, range(2), [seeded_stream(1, 0)])
+    data = np.arange(12) + 1j
+    expected = build_frequency_symbol(data, smap, cfg)
+    for out in (np.zeros((2, 9), dtype=complex)[:, :8], np.zeros((3, 8), dtype=complex)):
+        with pytest.raises(ValueError):
+            build_frequency_symbol(data, smap, cfg, out=out)
+    for out in (np.zeros((2, 8), dtype=complex), np.zeros((2, 16), dtype=complex)[:, ::2]):
+        assert build_frequency_symbol(data, smap, cfg, out=out) is out
+        assert np.array_equal(out, expected)
+
+
 def test_all_pilot_symbol_has_no_data():
     cfg = OfdmConfig(n_subchannels=16, pilot_pattern="block", pilot_count=2, cp_len=2)
     smap = _one_symbol(cfg, 0, seeded_stream(1, 0))

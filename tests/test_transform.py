@@ -113,3 +113,19 @@ def test_cached_tables_are_shared_and_read_only():
         assert make(*args) is table
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+@pytest.mark.parametrize("transform", [fft, ifft])
+def test_out_arrays_give_the_same_bits(transform):
+    # into a fresh array, into rows with a gap between them, and in place
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    expected = transform(x)
+    rows = np.full((3, 20), np.nan + 0j)
+    assert transform(x, out=rows[:, 4:]) is not None
+    assert np.array_equal(rows[:, 4:], expected)
+    assert np.isnan(rows[:, :4]).all()
+    inplace = x.copy()
+    assert transform(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, expected)
+    assert np.array_equal(transform(x, out=np.empty_like(x)), expected)
