@@ -205,8 +205,7 @@ def ofdm_demodulate(rx, cfg: OfdmConfig, *, out=None) -> np.ndarray:
     r = np.asarray(rx, dtype=np.complex128)
     if r.shape[-1] != cfg.samples_per_symbol:
         raise LengthMismatch(f"received symbol length {r.shape[-1]} != N + cp_len {cfg.samples_per_symbol}")
-    out = np.positive(r[..., cfg.cp_len :], out=out, order="C")  # contiguous: the transform gathers from it in place
-    return transform.fft(out, out=out)
+    return transform.fft(r[..., cfg.cp_len :], out=out)
 
 
 def channel_frequency_response(ch: ChannelModel, n: int) -> np.ndarray:

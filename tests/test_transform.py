@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ofdmsim.errors import NonPowerOfTwoLength
-from ofdmsim.transform import _bit_reverse_indices, _twiddles, fft, ifft
+from ofdmsim.transform import _twiddles, fft, ifft
 
 
 def dft_direct(x):
@@ -108,11 +110,10 @@ def test_cross_check_against_numpy_fft():
 
 
 def test_cached_tables_are_shared_and_read_only():
-    for make, args in ((_bit_reverse_indices, (64,)), (_twiddles, (64, -1))):
-        table = make(*args)
-        assert make(*args) is table
-        with pytest.raises(ValueError):
-            table[0] = 0
+    table = _twiddles(64, -1)
+    assert _twiddles(64, -1) is table
+    with pytest.raises(ValueError):
+        table[0] = 0
 
 
 @pytest.mark.parametrize("transform", [fft, ifft])
@@ -129,3 +130,68 @@ def test_out_arrays_give_the_same_bits(transform):
     assert transform(inplace, out=inplace) is inplace
     assert np.array_equal(inplace, expected)
     assert np.array_equal(transform(x, out=np.empty_like(x)), expected)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# odd and even stage counts, and the N = 1 identity
+_ALL_LENGTHS = [2**p for p in range(13)]
+
+
+@pytest.mark.parametrize("n", _ALL_LENGTHS)
+@pytest.mark.parametrize("transform", [fft, ifft])
+def test_in_place_call_gives_the_out_of_place_bits(transform, n):
+    rng = np.random.default_rng(200 + n)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    expected = transform(x)
+    inplace = x.copy()
+    assert transform(inplace, out=inplace) is inplace
+    assert _same_bits(inplace, expected)
+
+
+@pytest.mark.parametrize("n", _ALL_LENGTHS)
+@pytest.mark.parametrize("transform", [fft, ifft])
+def test_cp_stripped_row_view_is_read_in_place(transform, n):
+    cp = max(1, n // 8)
+    rng = np.random.default_rng(300 + n)
+    rows = rng.standard_normal((4, cp + n)) + 1j * rng.standard_normal((4, cp + n))
+    before = rows.copy()
+    assert _same_bits(transform(rows[:, cp:]), transform(np.ascontiguousarray(rows[:, cp:])))
+    assert _same_bits(rows, before)
+
+
+@pytest.mark.parametrize("n", _ALL_LENGTHS)
+@pytest.mark.parametrize(("transform", "oracle", "bound"), [(fft, np.fft.fft, 1e-10), (ifft, np.fft.ifft, 1e-12)])
+def test_out_overlapping_the_input_matches_numpy(transform, oracle, bound, n):
+    rng = np.random.default_rng(400 + n)
+    z = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
+    x, out = z[:, :n], z[:, n // 2 : n // 2 + n]
+    expected = oracle(x)
+    assert transform(x, out=out) is out
+    assert np.max(np.abs(out - expected)) < bound
+
+
+def test_warm_transform_allocates_under_one_grid():
+    # a (10, 4096) CP-stripped view into out, as the demodulator calls it
+    rng = np.random.default_rng(71)
+    rows = rng.standard_normal((10, 4608)) + 1j * rng.standard_normal((10, 4608))
+    out = np.empty((10, 4096), dtype=np.complex128)
+    fft(rows[:, 512:], out=out)
+    tracemalloc.start()
+    try:
+        fft(rows[:, 512:], out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes
+
+
+def test_numpy_buffer_size_is_restored():
+    size = np.setbufsize(1024)
+    try:
+        ifft(fft(np.arange(64, dtype=complex)))
+        assert np.getbufsize() == 1024
+    finally:
+        np.setbufsize(size)
