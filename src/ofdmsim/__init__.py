@@ -36,7 +36,7 @@ from .modem import (
     map_bits,
     write_constellation_csv,
 )
-from .numerics import RngStream, gaussian_pair, q_function, seeded_stream
+from .numerics import RngStream, q_function, seeded_stream
 from .ofdm import (
     OfdmConfig,
     SubcarrierMap,
@@ -55,7 +55,6 @@ __all__ = [
     "errors",
     "RngStream",
     "seeded_stream",
-    "gaussian_pair",
     "q_function",
     "fft",
     "ifft",

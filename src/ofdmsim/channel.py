@@ -41,10 +41,6 @@ class ChannelModel:
     def identity(cls) -> "ChannelModel":
         return cls(((1.0 + 0.0j, 0),))
 
-    @property
-    def max_delay(self) -> int:
-        return self.taps[-1][1]
-
 
 def apply_multipath(x, ch: ChannelModel, *, out=None) -> np.ndarray:
     """FIR-filter each row along the last axis, starting from silence:

@@ -87,9 +87,10 @@ def _config_flags(path: str) -> list[str]:
 def _print_summary(result) -> None:
     spec = result.spec
     cfg = spec.cfg
+    count = "" if cfg.pilot_count is None else f" pilot_count={cfg.pilot_count}"
     print(
         f"# N={cfg.n_subchannels} order={cfg.mod_order} pilots={cfg.pilot_pattern}"
-        f" pilot_count={cfg.pilot_count} cp_len={cfg.cp_len}"
+        f"{count} cp_len={cfg.cp_len}"
         f" iterations={spec.iterations} symbols/iter={spec.symbols_per_iteration}"
         f" seed={spec.seed}"
     )
@@ -116,8 +117,6 @@ def _run(argv) -> int:
 
     if args.workers < 1:
         raise InvalidConfiguration(f"workers must be >= 1, got {args.workers}")
-    if args.pilots == "block" and args.pilot_count is not None:
-        raise InvalidConfiguration("block pilots fill whole symbols and take no pilot count")
     channel = load_channel_profile(args.channel) if args.channel else ChannelModel.identity()
 
     cfg = OfdmConfig(

@@ -172,9 +172,9 @@ def _frame_chunk(
     for frame, s in enumerate(streams):
         add_awgn(faded[frame], snr_db, power[frame], s.child(_TAG_NOISE), out=tx[frame])
 
-    data = extract_data(ofdm_demodulate(tx.reshape(rows, -1), cfg, out=grid), smap, out=b[:n_data])
-    h_data = np.take(h, smap.data_indices, out=a[:n_data], mode="wrap")  # bin = flat index mod N
-    rx_bits = demap_symbols(equalize(data, h_data, out=data), const)
+    ofdm_demodulate(tx.reshape(rows, -1), cfg, out=grid)
+    data = extract_data(equalize(grid, h, out=grid), smap, out=b[:n_data])
+    rx_bits = demap_symbols(data, const)
     return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
 
 
@@ -186,6 +186,7 @@ def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoi
     tasks = [(snr_db, chunk) for snr_db in snrs for chunk in chunks]
     const = build_constellation(spec.cfg.mod_order)
     h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
+    h[~data_bins(spec.cfg, spec.symbols_per_iteration)] = 1.0  # bins that only carry pilots are never read back
     task = functools.partial(_frame_chunk, spec, const, h)
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:

@@ -37,10 +37,6 @@ class Constellation:
     bits_per_symbol: int
     points: np.ndarray
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(self.order)
-
     def bit_strings(self) -> list[str]:
         """Label bit patterns, MSB first, in label order."""
         return [format(v, f"0{self.bits_per_symbol}b") for v in range(self.order)]

@@ -114,12 +114,6 @@ def seeded_stream(seed: int, stream_id: int = 0) -> RngStream:
     return RngStream(seed, stream_id)
 
 
-def gaussian_pair(rng: RngStream) -> tuple[float, float]:
-    """Draw two independent standard-normal variates from the stream."""
-    re, im = rng.gaussian_pairs(1)
-    return float(re[0]), float(im[0])
-
-
 def q_function(x: float) -> float:
     """Tail probability P(Z > x) of the standard normal distribution.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -39,14 +39,15 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Static link parameters; cp_len and pilot_count default to N/8."""
+    """Static link parameters; cp_len and the pilot_count of comb and random
+    pilots default to N/8. Block pilots take no pilot_count: theirs is None."""
 
     n_subchannels: int
     cp_len: int | None = None
     pilot_pattern: str = "comb"
     pilot_count: int | None = None
     mod_order: int = 4
-    block_period: int = 8
+    block_period: ClassVar[int] = 8
 
     def __post_init__(self):
         n = self.n_subchannels
@@ -60,16 +61,17 @@ class OfdmConfig:
             raise InvalidConfiguration(
                 f"pilot_pattern must be one of {PILOT_PATTERNS}, got {self.pilot_pattern!r}"
             )
-        if self.pilot_count is None:
+        if self.pilot_pattern == "block":
+            if self.pilot_count is not None:
+                raise InvalidConfiguration("block pilots fill whole symbols and take no pilot count")
+        elif self.pilot_count is None:
             object.__setattr__(self, "pilot_count", n // 8)
-        if self.pilot_count >= n:
+        elif self.pilot_count >= n:
             raise PilotCountExceedsN(f"pilot_count {self.pilot_count} must be < {n}")
-        if self.pilot_count < 0:
+        elif self.pilot_count < 0:
             raise InvalidConfiguration(f"pilot_count must be >= 0, got {self.pilot_count}")
         if self.mod_order not in _AXIS_BITS:
             raise UnsupportedOrder(f"mod_order must be one of {tuple(_AXIS_BITS)}, got {self.mod_order}")
-        if self.block_period < 1:
-            raise InvalidConfiguration(f"block_period must be >= 1, got {self.block_period}")
 
     @property
     def samples_per_symbol(self) -> int:
@@ -98,8 +100,8 @@ class SubcarrierMap:
 
 
 def _fixed_pilots(cfg: OfdmConfig, symbols: range) -> np.ndarray:
-    """(len(symbols), N) pilot mask where the pattern alone fixes it:
-    block, comb, and random without pilots."""
+    """(len(symbols), N) mask of the pilots the pattern alone fixes: block
+    symbols and the comb; none for random pilots, which are drawn per symbol."""
     n = cfg.n_subchannels
     is_pilot = np.zeros((len(symbols), n), dtype=bool)
     if cfg.pilot_pattern == "block":
@@ -114,20 +116,20 @@ def _fixed_pilots(cfg: OfdmConfig, symbols: range) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _fixed_layout(
     cfg: OfdmConfig, symbols: range, frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pilot and data flat indices of `frames` frames of a fixed layout."""
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Pilot and data flat indices of `frames` frames of a fixed layout, and
+    the pilot count of each row."""
     is_pilot = np.tile(_fixed_pilots(cfg, symbols), (frames, 1))
     layout = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
     for a in layout:
         a.setflags(write=False)
-    return layout
+    return *layout, tuple(is_pilot.sum(axis=1).tolist())
 
 
 def data_bins(cfg: OfdmConfig, n_symbols: int) -> np.ndarray:
     """Mask of the bins that carry data in some symbol of an n_symbols
-    frame; random pilots can leave any bin to data."""
-    if cfg.pilot_pattern == "random":
-        return np.ones(cfg.n_subchannels, dtype=bool)
+    frame. Only fixed pilots can hold a bin in every symbol, so every bin
+    carries data under random pilots."""
     return ~_fixed_pilots(cfg, range(n_symbols)).all(axis=0)
 
 
@@ -147,27 +149,22 @@ def allocate_subcarriers(
     """
     n = cfg.n_subchannels
     count = cfg.pilot_count
+    rows = [(s, j) for s in streams for j in symbols]  # frame-major, as the grid
     if cfg.pilot_pattern == "random" and count:
-        u = np.stack([s.child(_TAG_INDICES, j).uniforms(n) for s in streams for j in symbols])
+        u = np.stack([s.child(_TAG_INDICES, j).uniforms(n) for s, j in rows])
         is_pilot = np.zeros(u.shape, dtype=bool)
         np.put_along_axis(is_pilot, np.argsort(u, axis=1, kind="stable")[:, :count], True, axis=1)
         pilots, data = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
+        per_row = [count] * len(rows)
     else:
-        pilots, data = _fixed_layout(cfg, symbols, len(streams))
-    if cfg.pilot_pattern == "block":
-        valued, per_symbol = [j for j in symbols if j % cfg.block_period == 0], n
-    else:
-        valued, per_symbol = symbols, count
-    if pilots.size:
-        # one (re, im) sign pair per pilot, from its symbol's value substream
-        u = np.concatenate(
-            [s.child(_TAG_VALUES, j).uniforms(2 * per_symbol) for s in streams for j in valued]
-        )
-        re = np.where(u[0::2] < 0.5, 1.0, -1.0)
-        im = np.where(u[1::2] < 0.5, 1.0, -1.0)
-        values = (re + 1j * im) * _INV_SQRT2
-    else:
-        values = np.empty(0, dtype=np.complex128)
+        pilots, data, per_row = _fixed_layout(cfg, symbols, len(streams))
+    # one (re, im) sign pair per pilot from its row's value substream; rows without pilots draw nothing
+    u = np.concatenate(
+        [np.empty(0)] + [s.child(_TAG_VALUES, j).uniforms(2 * c) for (s, j), c in zip(rows, per_row) if c]
+    )
+    re = np.where(u[0::2] < 0.5, 1.0, -1.0)
+    im = np.where(u[1::2] < 0.5, 1.0, -1.0)
+    values = (re + 1j * im) * _INV_SQRT2
     return SubcarrierMap(pilot_indices=pilots, data_indices=data, pilot_values=values)
 
 
@@ -218,8 +215,8 @@ def channel_frequency_response(ch: ChannelModel, n: int) -> np.ndarray:
 
 
 def equalize(freq, h, *, out=None) -> np.ndarray:
-    """Divide out the known channel response, element by element along the
-    last axis; the caller gathers h on the bins it equalizes."""
+    """Divide out the known channel response: h holds one gain per bin and
+    is broadcast along the last axis, so bin k of every row divides by h[k]."""
     f = np.asarray(freq, dtype=np.complex128)
     hv = np.asarray(h, dtype=np.complex128).ravel()
     if f.shape[-1] != hv.size:

@@ -36,7 +36,6 @@ def test_channel_model_validation():
 def test_taps_sorted_by_delay():
     ch = ChannelModel(((0.5, 4), (1.0, 0), (0.25j, 2)))
     assert [d for _, d in ch.taps] == [0, 2, 4]
-    assert ch.max_delay == 4
 
 
 def test_identity_channel_passthrough():

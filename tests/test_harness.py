@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -288,8 +289,8 @@ def test_csv_bytes_stable_across_runs():
 
 
 def test_noiseless_all_pilot_frames_count_zero_bits():
-    cfg = OfdmConfig(n_subchannels=64, pilot_pattern="block", block_period=1, pilot_count=8)
-    spec = SweepSpec(cfg=cfg, iterations=1, symbols_per_iteration=2)
+    cfg = OfdmConfig(n_subchannels=64, pilot_pattern="block")
+    spec = SweepSpec(cfg=cfg, iterations=1, symbols_per_iteration=1)
     pt = run_ber_point(spec, math.inf)
     assert pt.bits_total == 0
     assert pt.ber == 0.0
@@ -368,9 +369,8 @@ def _small_specs(draw):
         n_subchannels=n,
         cp_len=cp_len,
         pilot_pattern=pattern,
-        pilot_count=pilot_count,
+        pilot_count=None if pattern == "block" else pilot_count,
         mod_order=draw(st.sampled_from([4, 8, 16])),
-        block_period=draw(st.integers(1, 4)),
     )
     # a unit main tap plus echoes of total gain below 1 has no spectral
     # null; echo delays reach past the whole frame, which must add nothing
@@ -414,7 +414,6 @@ def test_spec_rejects_spectral_null_on_data_bins():
     # 8 pilots, a data bin in every other layout
     null = ChannelModel(((1.0, 0), (1.0, 1)))
     SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_count=8), channel=null)
-    SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_pattern="block", block_period=1), channel=null)
     SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_pattern="block"), symbols_per_iteration=1, channel=null)
     for cfg_kw in (
         {"pilot_count": 0},
@@ -425,6 +424,20 @@ def test_spec_rejects_spectral_null_on_data_bins():
     ):
         with pytest.raises(SingularChannelGain):
             SweepSpec(cfg=OfdmConfig(n_subchannels=64, **cfg_kw), channel=null)
+
+
+def test_null_on_a_pilot_only_bin_is_never_divided_by():
+    # 1 + z^-1 is zero at bin 32, which carries the comb's 5th of 8 pilots in every symbol
+    spec = SweepSpec(
+        cfg=OfdmConfig(n_subchannels=64, pilot_count=8, mod_order=16),
+        iterations=6,
+        channel=ChannelModel(((1.0, 0), (1.0, 1))),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = run_ber_point(spec, 12.0)
+    assert pt.bit_errors > 0
+    assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 12.0)
 
 
 def test_spec_bounds_snr_grid_points():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,16 @@ def test_config_validation():
         OfdmConfig(n_subchannels=256, pilot_pattern="grid")
 
 
+def test_block_pilots_take_no_pilot_count():
+    for count in (0, 8):
+        with pytest.raises(InvalidConfiguration):
+            OfdmConfig(n_subchannels=64, pilot_pattern="block", pilot_count=count)
+    cfg = OfdmConfig(n_subchannels=64, pilot_pattern="block")
+    assert cfg.pilot_count is None and cfg.block_period == 8
+    order16 = dataclasses.replace(cfg, mod_order=16)
+    assert order16 == OfdmConfig(n_subchannels=64, pilot_pattern="block", mod_order=16)
+
+
 def _one_symbol(cfg, symbol_index, rng):
     """The map of a one-symbol frame: its flat indices are bins 0..N-1."""
     return allocate_subcarriers(cfg, range(symbol_index, symbol_index + 1), [rng])
@@ -61,7 +72,7 @@ def test_comb_allocation_even_spacing():
 
 
 def test_block_allocation_period():
-    cfg = OfdmConfig(n_subchannels=64, pilot_pattern="block", pilot_count=8)
+    cfg = OfdmConfig(n_subchannels=64, pilot_pattern="block")
     rng = seeded_stream(2, 0)
     assert _one_symbol(cfg, 0, rng).pilot_indices.size == 64
     for j in range(1, 8):
@@ -98,7 +109,7 @@ def test_zero_pilots_all_data():
 
 def test_pilot_data_partition():
     for pattern in ("block", "comb", "random"):
-        cfg = OfdmConfig(n_subchannels=128, pilot_pattern=pattern, pilot_count=16)
+        cfg = OfdmConfig(n_subchannels=128, pilot_pattern=pattern)
         for j in (0, 1, 2):
             smap = _one_symbol(cfg, j, seeded_stream(6, 1))
             merged = np.concatenate([smap.pilot_indices, smap.data_indices])
@@ -106,12 +117,12 @@ def test_pilot_data_partition():
 
 
 @pytest.mark.parametrize(
-    "pattern, pilot_count", [("block", 8), ("comb", 8), ("comb", 0), ("random", 8), ("random", 0)]
+    "pattern, pilot_count", [("block", None), ("comb", 8), ("comb", 0), ("random", 8), ("random", 0)]
 )
 def test_frame_allocation_rows_match_single_symbol_calls(pattern, pilot_count):
-    cfg = OfdmConfig(n_subchannels=32, pilot_pattern=pattern, pilot_count=pilot_count, block_period=3)
+    cfg = OfdmConfig(n_subchannels=32, pilot_pattern=pattern, pilot_count=pilot_count)
     streams = [seeded_stream(8, i).child(3) for i in range(3)]
-    symbols = range(2, 7)
+    symbols = range(6, 11)
     fmap = allocate_subcarriers(cfg, symbols, streams)
     rows = [_one_symbol(cfg, j, s) for s in streams for j in symbols]
     pilot_row = fmap.pilot_indices // 32
@@ -166,7 +177,7 @@ def test_build_into_an_out_it_cannot_fill_in_place():
 
 
 def test_all_pilot_symbol_has_no_data():
-    cfg = OfdmConfig(n_subchannels=16, pilot_pattern="block", pilot_count=2, cp_len=2)
+    cfg = OfdmConfig(n_subchannels=16, pilot_pattern="block", cp_len=2)
     smap = _one_symbol(cfg, 0, seeded_stream(1, 0))
     freq = build_frequency_symbol(np.array([], dtype=complex), smap, cfg)
     assert np.array_equal(freq[0], smap.pilot_values)
