@@ -69,6 +69,7 @@ class SweepSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.snr_start_db, self.snr_stop_db, self.snr_step_db))):
             raise InvalidConfiguration("snr_start_db, snr_stop_db and snr_step_db must be finite")
+        _check_snr(self.snr_start_db)  # the lowest SNR of the grid, so the loudest noise
         if self.snr_start_db > self.snr_stop_db:
             raise InvalidConfiguration("snr_start_db must be <= snr_stop_db")
         if not self.snr_step_db > 0:
@@ -130,10 +131,17 @@ def analytic_ber(order: int, eb_n0_db: float) -> float | None:
     k = bits_per_symbol(order)  # validates order
     if order == 8:
         return None
-    gamma_b = 10.0 ** (eb_n0_db / 10.0)
+    gamma_b = 10.0 ** min(eb_n0_db / 10.0, 300.0)  # Q is 0.0 long before this; beyond it the power overflows
     if order == 4:
         return q_function(math.sqrt(2.0 * gamma_b))
     return 0.75 * q_function(math.sqrt(0.8 * gamma_b))
+
+
+def _check_snr(snr_db: float) -> float:
+    """snr_db, if its noise power factor 10^(-snr_db/10) is a finite float (+inf is no noise)."""
+    if not -float(snr_db) / 10.0 < math.log10(np.finfo(float).max):  # False for NaN and -inf
+        raise InvalidConfiguration(f"SNR {snr_db} dB gives no finite noise power")
+    return snr_db
 
 
 def _snr_steps(spec: SweepSpec) -> float:
@@ -183,7 +191,7 @@ def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoi
     in this process or on one pool of at most one worker per CPU."""
     step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
     chunks = [range(a, min(a + step, spec.iterations)) for a in range(0, spec.iterations, step)]
-    tasks = [(snr_db, chunk) for snr_db in snrs for chunk in chunks]
+    tasks = [(_check_snr(snr_db), chunk) for snr_db in snrs for chunk in chunks]  # every SNR checked before any draw
     const = build_constellation(spec.cfg.mod_order)
     h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
     h[~data_bins(spec.cfg, spec.symbols_per_iteration)] = 1.0  # bins that only carry pilots are never read back

@@ -1,11 +1,11 @@
 """Deterministic random streams, Gaussian noise, and the normal tail function.
 
-Randomness is built on the Philox counter-based bit generator keyed by a
-(seed, stream_id) pair, so every substream is reproducible independent of
-scheduling. All sampling goes through the generator's raw uniform-double
-output: bits cost one uniform each and Gaussian pairs are produced by the
-Box-Muller transform (exactly two uniforms per pair), which keeps streams
-alignment-stable across runs.
+A stream is a Philox key, (seed, stream_id), plus a position: the count of
+uniforms it has drawn. Philox is counter-based, so each thread keeps one
+generator next to its workspace arrays and sets it to a stream's key and
+position before each draw; a stream costs nothing to make and reproduces
+independent of scheduling. Bits cost one uniform each and Gaussian pairs
+come from the Box-Muller transform (exactly two uniforms per pair).
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import math
 import threading
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
 _SQRT2 = math.sqrt(2.0)
 BLOCK = 4096  # draws per pass over a long array: temporaries the heap recycles
 _scratch = threading.local()  # each thread's {owner: its workspace array}
+_philox = threading.local()  # and its one generator; a draw sets it to a stream's key and position
 
 
 def _splitmix64(z: int) -> int:
@@ -45,35 +45,31 @@ def workspace(owner: str, shape: tuple[int, ...]) -> np.ndarray:
     return arrays[owner]
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox a fixed 128-bit key as the two uint64 words it asks its
-    seed sequence for. Philox(key=...) gives the same generator but first
-    builds and discards an OS-entropy SeedSequence, which costs more than
-    the rest of the set-up, and small-N frames set up dozens of streams."""
-
-    def __init__(self, seed: int, stream_id: int):
-        self.words = np.array([seed, stream_id], dtype=np.uint64)  # key = stream_id << 64 | seed
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise NotImplementedError(f"Philox asked for {n_words} {np.dtype(dtype)} words")
-        return self.words
-
-
 class RngStream:
-    """A single-owner uniform random stream identified by (seed, stream_id).
-
-    Identical (seed, stream_id) pairs reproduce the identical sample
-    sequence; distinct stream_ids share no state. Instances are not safe to
-    share between concurrent tasks; give each worker its own stream.
+    """A single-owner uniform random stream: the key (seed, stream_id) plus
+    the count of uniforms drawn. Identical keys reproduce the identical
+    sequence; distinct stream_ids share no state. A stream holds no
+    generator, so it may be continued on another thread, but it is not safe
+    to share between concurrent tasks; give each worker its own stream.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "stream_id", "_pos")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
+        self._pos = 0
+
+    def _gen(self) -> np.random.Generator:
+        if not hasattr(_philox, "gen"):  # this thread's generator, set below to draw this stream's next uniform
+            _philox.gen = np.random.Generator(np.random.Philox(0))
+        block, skip = divmod(self._pos, 4)  # Philox makes 4 doubles per counter step and steps before each block
+        _philox.gen.bit_generator.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                                           "has_uint32": 0, "uinteger": 0,
+                                           "state": {"counter": (block, 0, 0, 0), "key": (self.seed, self.stream_id)}}
+        if skip:
+            _philox.gen.random(skip)
+        return _philox.gen
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -92,18 +88,22 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniform doubles on [0, 1)."""
-        return self._gen.random(n)
+        u = self._gen().random(n)
+        self._pos += u.size
+        return u
 
     def bits(self, n: int) -> np.ndarray:
         """Next n equiprobable bits as uint8; consumes one uniform per bit."""
-        out = np.empty(n, dtype=np.uint8)
+        out, gen = np.empty(n, dtype=np.uint8), self._gen()
         for a in range(0, n, BLOCK):
-            np.less(self._gen.random(min(BLOCK, n - a)), 0.5, out=out[a : a + BLOCK].view(np.bool_))
+            np.less(gen.random(min(BLOCK, n - a)), 0.5, out=out[a : a + BLOCK].view(np.bool_))
+        self._pos += out.size
         return out
 
     def gaussian_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n independent standard-normal pairs via Box-Muller (2 uniforms each)."""
-        u = self._gen.random(2 * n)
+        u = self._gen().random(2 * n)
+        self._pos += u.size
         r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
         theta = (2.0 * np.pi) * u[1::2]
         return r * np.cos(theta), r * np.sin(theta)

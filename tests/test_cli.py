@@ -220,6 +220,11 @@ def test_error_after_the_sweep_starts_is_a_failed_simulation(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_snr_whose_noise_power_overflows_exits_two(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    _one_line_exit_two(capsys, main(_args(out, ("--snr-start=-1e308", "--snr-stop=-1e308"))), out)
+
+
 def test_tiny_snr_step_exits_two(tmp_path, capsys):
     out = tmp_path / "result.csv"
     assert main(_args(out, ("--snr-step", "1e-300"))) == 2

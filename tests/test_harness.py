@@ -509,3 +509,24 @@ def test_noiseless_point_after_a_noisy_one_is_error_free():
     spec = _spec(n=256, iterations=2, order=16)
     assert run_ber_point(spec, 0.0).bit_errors > 0
     assert run_ber_point(spec, math.inf).bit_errors == 0
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -1e308, -3082.55])
+def test_snr_without_a_finite_noise_power_raises_before_any_draw(snr_db):
+    spec = _spec(n=64, iterations=2, pilots=8)
+    with mock.patch.object(harness, "seeded_stream", side_effect=AssertionError("drew")):
+        with pytest.raises(InvalidConfiguration):
+            run_ber_point(spec, snr_db)
+        with pytest.raises(InvalidConfiguration):  # a good SNR first does not start the draws
+            harness._run_points(spec, [0.0, snr_db], 1)
+    if math.isfinite(snr_db):
+        with pytest.raises(InvalidConfiguration):
+            _spec(n=64, snr_start_db=snr_db, snr_stop_db=0.0)
+
+
+def test_extreme_snrs_that_have_a_noise_power_run_without_warnings():
+    spec = _spec(n=64, iterations=2, pilots=8)
+    assert 0.4 < run_ber_point(spec, -3082.5).ber < 0.6  # noise power 10^308.25, the largest finite one
+    for snr_db in (math.inf, 1e308):  # +inf is the noiseless flag; 1e308 dB has a noise power of 0.0
+        pt = run_ber_point(spec, snr_db)
+        assert pt.bit_errors == 0 and pt.analytic_ber == 0.0

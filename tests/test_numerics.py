@@ -5,8 +5,10 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofdmsim.numerics import RngStream, q_function, seeded_stream, workspace
+from ofdmsim.numerics import BLOCK, RngStream, q_function, seeded_stream, workspace
 
 _MASK64 = (1 << 64) - 1
 
@@ -152,3 +154,64 @@ def test_workspace_belongs_to_its_thread():
     thread.join()
     assert seen[0]() is None  # freed with its thread
     assert workspace("test-owner", (4,)) is mine
+
+
+def _reference_draws(ref, method, n):
+    """What a stream's own Philox generator gives for one draw call."""
+    if method == "uniforms":
+        return ref.random(n)
+    if method == "bits":
+        return (ref.random(n) < 0.5).astype(np.uint8)
+    u = ref.random(2 * n)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = (2.0 * np.pi) * u[1::2]
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _assert_same_draws(got, want):
+    if isinstance(want, tuple):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+_KEYS = st.sampled_from([0, 1, 2**63 + 5, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_SIZES = st.integers(-2, 9) | st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 3, 2 * BLOCK + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_KEYS,
+    stream_ids=st.lists(_KEYS, min_size=2, max_size=3, unique=True),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(["uniforms", "bits", "gaussian_pairs"]), _SIZES), max_size=12
+    ),
+)
+def test_interleaved_draws_match_one_generator_per_stream(seed, stream_ids, calls):
+    streams = [RngStream(seed, sid) for sid in stream_ids]
+    refs = [np.random.Generator(np.random.Philox(counter=0, key=(sid << 64) | seed)) for sid in stream_ids]
+    for k, method, n in calls:
+        stream, ref = streams[k % len(streams)], refs[k % len(refs)]
+        if n < 0:
+            before = stream._pos
+            with pytest.raises(ValueError):
+                getattr(stream, method)(n)
+            assert stream._pos == before
+            continue
+        _assert_same_draws(getattr(stream, method)(n), _reference_draws(ref, method, n))
+    for stream, ref in zip(streams, refs):  # every stream ends where its own generator is
+        _assert_same_draws(stream.uniforms(5), ref.random(5))
+
+
+def test_stream_continued_on_another_thread_matches_the_one_shot_draw():
+    one_shot = seeded_stream(31, 2**63 + 5)
+    whole = (one_shot.uniforms(7), one_shot.bits(BLOCK + 5), one_shot.gaussian_pairs(6), one_shot.uniforms(3))
+    stream = seeded_stream(31, 2**63 + 5)
+    parts = [stream.uniforms(7), stream.bits(BLOCK + 5)]
+    seeded_stream(32, 0).uniforms(9)  # leaves this thread's generator elsewhere
+    thread = threading.Thread(target=lambda: parts.extend([stream.gaussian_pairs(6), stream.uniforms(3)]))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    for got, want in zip(parts, whole, strict=True):
+        _assert_same_draws(got, want)
