@@ -84,6 +84,13 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+def _db(x: float, width: int) -> str:
+    """x with two decimals, or where that is wider than width, in width - 7
+    significant digits, whose exponent form fits any finite float."""
+    fixed = f"{x:{width}.2f}"
+    return fixed if len(fixed) <= width else f"{x:{width}.{width - 7}g}"
+
+
 def _print_summary(result) -> None:
     spec = result.spec
     cfg = spec.cfg
@@ -98,7 +105,7 @@ def _print_summary(result) -> None:
     for p in result.points:
         analytic = f"{p.analytic_ber:.4e}" if p.analytic_ber is not None else "-"
         print(
-            f"{p.snr_db:8.2f} {p.eb_n0_db:9.2f} {p.ber:12.4e}"
+            f"{_db(p.snr_db, 8)} {_db(p.eb_n0_db, 9)} {p.ber:12.4e}"
             f" {p.bit_errors:10d} {p.bits_total:12d} {analytic:>12}"
         )
 

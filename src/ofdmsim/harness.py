@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from .errors import InvalidConfiguration, SingularChannelGain
-from .modem import Constellation, build_constellation, demap_symbols, map_bits
+from .modem import Constellation, _write_lines, build_constellation, demap_symbols, map_bits
 from .numerics import RngStream, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
@@ -45,7 +45,7 @@ _TAG_ALLOC = 3
 # Iterations run in chunks of about this many time samples, each chunk as one
 # frame tensor, so every stage costs one call per chunk: 5 iterations at N = 64
 # with 10 symbols, one from N = 256 up. For its last chunk shape each thread keeps
-# two frame tensors and the FFT's scratch (1 474 560 + 819 200 B at N = 4096, 10 symbols).
+# two frame tensors (1 474 560 B at N = 4096, cp 512, 10 symbols).
 _CHUNK_SAMPLES = 4096
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
@@ -167,7 +167,7 @@ def _frame_chunk(
     frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
     tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
 
-    # each stage writes to the workspace frame that its input is not in; the FFT reads the received rows in place
+    # each stage writes to the workspace frame that its input is not in; the FFT reads the CP-stripped rows as a view
     rows, n_data = len(streams) * n_sym, smap.data_indices.size
     a, b = workspace("chunk", (2, rows * cfg.samples_per_symbol))
     grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
@@ -254,12 +254,7 @@ def write_csv(result: SweepResult, sink) -> None:
             f"{float(p.snr_db)!r},{float(p.eb_n0_db)!r},{float(p.ber)!r},"
             f"{p.bit_errors},{p.bits_total},{analytic}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", newline="") as f:
-            f.write(text)
+    _write_lines(lines, sink)
 
 
 def single_carrier_ber_counts(

@@ -122,6 +122,11 @@ def write_constellation_csv(c: Constellation, sink) -> None:
     for v, bits in enumerate(c.bit_strings()):
         p = c.points[v]
         lines.append(f"{v},{bits},{float(p.real)!r},{float(p.imag)!r}")
+    _write_lines(lines, sink)
+
+
+def _write_lines(lines, sink) -> None:
+    """Write each line plus a newline to a path or file-like sink."""
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)

@@ -225,6 +225,33 @@ def test_snr_whose_noise_power_overflows_exits_two(tmp_path, capsys):
     _one_line_exit_two(capsys, main(_args(out, ("--snr-start=-1e308", "--snr-stop=-1e308"))), out)
 
 
+def _summary_rows(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["snr_db", "eb_n0_db", "ber", "errors", "bits", "analytic"]
+    return lines[1], lines[2:]
+
+
+def test_huge_snr_summary_rows_fit_the_header(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    assert main(_args(out, ("--snr-start=1e308", "--snr-stop=1e308"))) == 0
+    header, rows = _summary_rows(capsys)
+    assert len(rows) == 1
+    assert all(len(row) <= len(header) for row in rows)
+    assert out.read_text().splitlines()[1].startswith("1e+308,")
+
+
+def test_default_grid_summary_keeps_two_decimal_columns(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    argv = ["--subchannels", "64", "--iterations", "1", "--symbols-per-iter", "1", "--out", str(out)]
+    assert main(argv) == 0
+    header, rows = _summary_rows(capsys)
+    csv_rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(csv_rows) == 10
+    for row, (snr_db, eb_n0_db, *_) in zip(rows, csv_rows):
+        assert row.startswith(f"{float(snr_db):8.2f} {float(eb_n0_db):9.2f} ")
+        assert len(row) == len(header)
+
+
 def test_tiny_snr_step_exits_two(tmp_path, capsys):
     out = tmp_path / "result.csv"
     assert main(_args(out, ("--snr-step", "1e-300"))) == 2

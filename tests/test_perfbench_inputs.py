@@ -6,6 +6,7 @@ after the change that broke it."""
 
 import dataclasses
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -41,3 +42,14 @@ def test_workload_specs_and_reference_evaluate(name):
     one = dataclasses.replace(specs[0], iterations=1)
     pt = run_ber_point(one, math.inf)
     assert (pt.bit_errors, pt.bits_total) == (0, reference.expected_bits(one))
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_first_sweep_reproduces_the_golden_counts(name):
+    # a count that FFT rounding flips fails here, not only in a benchmark run
+    wl = workloads.load(name)
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    assert golden["seed"] == workloads.DEFAULT_SEED
+    spec = wl.specs(workloads.DEFAULT_SEED)[0]
+    points = [(snr, run_ber_point(spec, snr, workers=1)) for snr in wl.snr_db]
+    assert [[snr, pt.bit_errors, pt.bits_total] for snr, pt in points] == golden["workloads"][name][0]
