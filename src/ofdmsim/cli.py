@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pilot-count", type=int, help="pilot subcarriers per symbol, comb or random pilots (default N/8)")
     p.add_argument("--channel", type=_path, metavar="PATH", help="channel profile file (default: single unit tap)")
     p.add_argument("--seed", type=int, default=1, help="random seed (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes per sweep (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1, help="helper processes, at most one per usable CPU (default %(default)s)")
     p.add_argument("--out", type=_path, metavar="PATH", help="write the sweep CSV here")
     p.add_argument("--config", type=_path, metavar="PATH", help="key = value file mirroring the flags above")
     p.add_argument(

@@ -13,10 +13,12 @@ snr_db - 10*log10(bits_per_symbol * n_data/N).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,12 @@ _TAG_ALLOC = 3
 # with 10 symbols, one from N = 256 up. For its last chunk shape each thread keeps
 # two frame tensors (1 474 560 B at N = 4096, cp 512, 10 symbols).
 _CHUNK_SAMPLES = 4096
+
+# Helper processes of each pid: a lock and its (process, pipe end) pairs. A
+# forked child makes its own entry, so it never talks to its parent's helpers.
+_helpers: dict[int, tuple[threading.Lock, list]] = {}
+# each helper gets at least this many samples: less does not pay back a pipe round trip (BENCH_6.json)
+_HELPER_MIN_SAMPLES = 4 * _CHUNK_SAMPLES
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
 MAX_SNR_POINTS = 10_000
@@ -186,9 +194,50 @@ def _frame_chunk(
     return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
 
 
+def _helper_loop(conn, parent_end) -> None:
+    """Send back fn over the tasks of each (fn, tasks) received, or the exception it raised.
+    The copies of older helpers' parent ends that a forked helper holds close when it exits."""
+    parent_end.close()  # so that the pipe reads EOF, and this loop ends, once the parent is gone
+    with contextlib.suppress(EOFError, BrokenPipeError, KeyboardInterrupt):  # Ctrl-C is the parent's to report
+        while True:
+            fn, tasks = conn.recv()
+            try:
+                conn.send(list(map(fn, tasks)))
+            except Exception as exc:
+                conn.send(exc)
+
+
+def _map_on_helpers(fn, batches: list[list]) -> list:
+    """fn over every task, one batch per helper process, results in task order. Helpers
+    are kept for later calls and replaced if found dead; an error or interrupt drops them all."""
+    lock, helpers = _helpers.setdefault(os.getpid(), (threading.Lock(), []))
+    with lock:
+        try:
+            helpers[:] = [(proc, conn) for proc, conn in helpers if proc.is_alive()]
+            while len(helpers) < len(batches):
+                parent_end, child_end = multiprocessing.Pipe()
+                proc = multiprocessing.Process(target=_helper_loop, args=(child_end, parent_end), daemon=True)
+                proc.start()
+                child_end.close()
+                helpers.append((proc, parent_end))
+            for (_, conn), batch in zip(helpers, batches):
+                conn.send((fn, batch))
+            replies = [conn.recv() for _, conn in helpers[: len(batches)]]
+            if errors := [reply for reply in replies if isinstance(reply, Exception)]:
+                raise errors[0]
+        except BaseException:
+            for proc, conn in helpers:
+                conn.close()
+                proc.kill()
+                proc.join()
+            helpers.clear()
+            raise
+    return [count for reply in replies for count in reply]
+
+
 def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoint]:
-    """One BerPoint per SNR from one map over (SNR, frame chunk) tasks, run
-    in this process or on one pool of at most one worker per CPU."""
+    """One BerPoint per SNR from one map over (SNR, frame chunk) tasks, run in
+    this process or in contiguous batches on up to one helper per usable CPU."""
     step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
     chunks = [range(a, min(a + step, spec.iterations)) for a in range(0, spec.iterations, step)]
     tasks = [(_check_snr(snr_db), chunk) for snr_db in snrs for chunk in chunks]  # every SNR checked before any draw
@@ -196,12 +245,14 @@ def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoi
     h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
     h[~data_bins(spec.cfg, spec.symbols_per_iteration)] = 1.0  # bins that only carry pilots are never read back
     task = functools.partial(_frame_chunk, spec, const, h)
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    samples = len(snrs) * spec.iterations * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
+    workers = min(workers, cpus, len(tasks), samples // _HELPER_MIN_SAMPLES)
     if workers <= 1:
         counts = list(map(task, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(task, tasks))
+        size = -(-len(tasks) // workers)
+        counts = _map_on_helpers(task, [tasks[a : a + size] for a in range(0, len(tasks), size)])
 
     points = []
     for k, snr_db in enumerate(snrs):
@@ -226,14 +277,14 @@ def run_ber_point(spec: SweepSpec, snr_db: float, workers: int = 1) -> BerPoint:
     """Monte Carlo BER at one SNR: iterations x symbols_per_iteration frames.
 
     Only data bits are counted. Results are deterministic in (spec, seed)
-    for any worker count; at most one process per CPU is started.
+    for any worker count; helpers are reused across calls.
     """
     return _run_points(spec, [snr_db], workers)[0]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """One BerPoint per grid SNR from snr_start to snr_stop in snr_step steps;
-    the whole grid is one map, so a sweep starts at most one pool."""
+    the whole grid is one map over the same helpers as every other call."""
     from . import __version__
 
     points = tuple(_run_points(spec, snr_grid(spec), workers))

@@ -365,7 +365,8 @@ def test_fuzzed_config_file_exits_with_a_documented_code(lines, sizes, bad, out_
         if via == "argv":
             argv = [f"--{_arg(k)}={_arg(v)}" for k, v in [*lines, *tail]]
         stderr = io.StringIO()
-        with mock.patch("os.cpu_count", return_value=1), contextlib.redirect_stdout(io.StringIO()):
+        one_cpu = mock.patch("os.sched_getaffinity", return_value={0}, create=True)
+        with one_cpu, mock.patch("os.cpu_count", return_value=1), contextlib.redirect_stdout(io.StringIO()):
             with contextlib.redirect_stderr(stderr):
                 try:
                     code = main(argv)

@@ -1,14 +1,20 @@
 import io
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmsim import harness, ofdm
@@ -123,49 +129,258 @@ def test_parallel_workers_match_sequential():
     assert seq == par
 
 
+def _drop_helpers():
+    """Stop this process's helpers and return its (now empty) helper list."""
+    _, procs = harness._helpers.setdefault(os.getpid(), (threading.Lock(), []))
+    for proc, conn in procs:
+        conn.close()
+        proc.kill()
+        proc.join()
+    procs.clear()
+    return procs
+
+
+def _cpus(count):
+    """Pretend this process may run on count CPUs."""
+    return mock.patch("os.sched_getaffinity", return_value=set(range(count)), create=True)
+
+
 @pytest.fixture
-def pools():
-    """max_workers of every pool the harness starts; an in-process stand-in
-    replaces the pool, so no process is started."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    with mock.patch.object(harness, "ProcessPoolExecutor", RecordingPool):
-        yield started
+def helpers():
+    """This process's (process, pipe end) helper list, empty at the start;
+    the in-process rule for small points is off, so any point of two or more
+    tasks runs on helpers unless the CPU cap says otherwise."""
+    with mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1):
+        yield _drop_helpers()
+    _drop_helpers()
 
 
-def test_workers_capped_at_cpu_count(pools):
+def _pids(procs):
+    return [proc.pid for proc, _ in procs]
+
+
+def test_workers_capped_at_cpu_count(helpers, monkeypatch):
+    spec = _spec(n=64, pilots=8, iterations=12)  # 3 tasks
+    seq = run_ber_point(spec, 6.0, workers=1)
+    with _cpus(2):
+        capped = run_ber_point(spec, 6.0, workers=100_000)
+    assert len(helpers) == 2
+    assert capped == seq
+    # without an affinity call the cap is os.cpu_count(), or one CPU when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    with mock.patch("os.cpu_count", return_value=None):
+        assert run_ber_point(spec, 6.0, workers=100_000) == seq
+    assert len(helpers) == 2
+    with mock.patch("os.cpu_count", return_value=3):
+        assert run_ber_point(spec, 6.0, workers=100_000) == seq
+    assert len(helpers) == 3
+
+
+def test_one_usable_cpu_starts_no_helper(helpers):
+    # the host may have more CPUs than this process is allowed to run on
     spec = _spec(n=64, pilots=8, iterations=12)
     seq = run_ber_point(spec, 6.0, workers=1)
-    with mock.patch("os.cpu_count", return_value=2):
-        capped = run_ber_point(spec, 6.0, workers=100_000)
-    with mock.patch("os.cpu_count", return_value=None):
-        unknown = run_ber_point(spec, 6.0, workers=100_000)
-    assert pools == [2]
-    assert capped == seq
-    assert unknown == seq
+    with _cpus(1), mock.patch("os.cpu_count", return_value=64):
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+    assert helpers == []
 
 
-def test_sweep_starts_one_pool(pools):
+def test_sweep_starts_one_pool(helpers):
     spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
     per_point = tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
     assert len(per_point) == 3
-    with mock.patch("os.cpu_count", return_value=2):
+    with _cpus(2):
         pooled = run_sweep(spec, workers=100_000)
-    assert pools == [2]
+    assert len(helpers) == 2
     assert pooled.points == run_sweep(spec, workers=1).points == per_point
+
+
+def test_helpers_start_once_across_points_and_a_sweep(helpers):
+    spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
+    seen = []
+    with _cpus(2):
+        for snr in (0.0, 4.0, 8.0):
+            assert run_ber_point(spec, snr, workers=2) == run_ber_point(spec, snr)
+            seen.append(_pids(helpers))
+        assert run_sweep(spec, workers=2).points == run_sweep(spec).points
+        seen.append(_pids(helpers))
+    assert len(seen[0]) == 2
+    assert all(pids == seen[0] for pids in seen)
+
+
+def test_killed_helper_is_replaced_before_the_next_point(helpers):
+    spec = _spec(n=64, pilots=8, iterations=12)
+    seq = run_ber_point(spec, 6.0)
+    with _cpus(2):
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+        victim = helpers[0][0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        assert not victim.is_alive()
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+    assert len(helpers) == 2
+    assert victim.pid not in _pids(helpers)
+    assert all(proc.is_alive() for proc, _ in helpers)
+
+
+def test_threads_sharing_the_helpers_match_sequential_runs(helpers):
+    # more helpers than cores, four threads taking turns on them, and a short
+    # switch interval: a reply read by the wrong thread changes its counts
+    specs = [_spec(n=64, pilots=8, iterations=12, seed=seed) for seed in range(4)]
+    expected = [run_ber_point(spec, 6.0) for spec in specs]
+    results = [None] * len(specs)
+
+    def run(k):
+        results[k] = [run_ber_point(specs[k], 6.0, workers=3) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpus(3):
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[point] * 5 for point in expected]
+    assert len(helpers) == 3
+
+
+_frame_chunk = harness._frame_chunk
+
+
+def _chunk_failing_past_iteration_zero(spec, const, h, task):
+    # module level, so that a helper can unpickle it by name
+    if task[1].start > 0:
+        raise ZeroDivisionError("raised in a helper")
+    return _frame_chunk(spec, const, h, task)
+
+
+def test_task_error_in_a_helper_reraises_and_drops_the_helpers(helpers):
+    spec = _spec(n=64, pilots=8, iterations=12)
+    seq = run_ber_point(spec, 6.0)
+    with _cpus(2):
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+        before = _pids(helpers)
+        with mock.patch.object(harness, "_frame_chunk", _chunk_failing_past_iteration_zero):
+            with pytest.raises(ZeroDivisionError):
+                run_ber_point(spec, 6.0, workers=2)
+        assert helpers == []
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+    assert len(helpers) == 2
+    assert not set(before) & set(_pids(helpers))
+
+
+def _child_point(spec, conn):
+    with _cpus(2), mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1):
+        point = run_ber_point(spec, 6.0, workers=2)
+    conn.send((point, _pids(harness._helpers[os.getpid()][1])))
+
+
+def test_forked_child_starts_its_own_helpers(helpers):
+    spec = _spec(n=64, pilots=8, iterations=12)
+    seq = run_ber_point(spec, 6.0)
+    with _cpus(2):
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+        before = _pids(helpers)
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        child = ctx.Process(target=_child_point, args=(spec, theirs))
+        child.start()
+        point, child_pids = ours.recv()
+        child.join(timeout=30)
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+    assert child.exitcode == 0
+    assert point == seq
+    assert len(child_pids) == 2 and not set(child_pids) & set(before)
+    assert _pids(helpers) == before
+
+
+_HOLDER = """
+import os, sys
+from ofdmsim import harness
+from ofdmsim.harness import SweepSpec, run_ber_point
+from ofdmsim.ofdm import OfdmConfig
+os.sched_getaffinity = lambda pid: {0, 1}
+harness._HELPER_MIN_SAMPLES = 1
+run_ber_point(SweepSpec(cfg=OfdmConfig(n_subchannels=64), iterations=12), 6.0, workers=2)
+print(*[proc.pid for proc, _ in harness._helpers[os.getpid()][1]], flush=True)
+if sys.argv[1] == "wait":
+    sys.stdin.read()
+"""
+
+
+def _running(pid):
+    """False once pid has exited, zombies included."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+@pytest.mark.parametrize("end", ["exit", "sigkill"])
+def test_no_helper_outlives_its_parent(end):
+    src = str(Path(harness.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLDER, "wait" if end == "sigkill" else "exit"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        pids = [int(pid) for pid in holder.stdout.readline().split()]
+        if end == "sigkill":
+            holder.kill()
+        holder.wait(timeout=30)
+    finally:
+        holder.kill()
+        holder.stdin.close()
+        holder.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leftover = [pid for pid in pids if _running(pid)]
+    for pid in leftover:  # a failing run leaves no process behind
+        os.kill(pid, signal.SIGKILL)
+    assert leftover == []
+
+
+_SNRS = [0.0, 4.0, 9.0, math.inf]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 32, 64, 128, 256]),
+    pattern=st.sampled_from(["comb", "random", "block"]),
+    iterations=st.integers(1, 40),
+    snr_ids=st.lists(st.integers(0, len(_SNRS) - 1), min_size=1, max_size=4),
+    per_chunk=st.integers(1, 3),
+    workers=st.sampled_from([2, 3]),
+    in_process_rule=st.booleans(),
+)
+# one task; fewer tasks than workers; in-process by the rule; on helpers by the rule
+@example(n=8, pattern="comb", iterations=1, snr_ids=[0], per_chunk=1, workers=2, in_process_rule=False)
+@example(n=64, pattern="comb", iterations=2, snr_ids=[1], per_chunk=1, workers=3, in_process_rule=False)
+@example(n=16, pattern="random", iterations=9, snr_ids=[0, 3], per_chunk=2, workers=3, in_process_rule=True)
+@example(n=256, pattern="comb", iterations=40, snr_ids=[0, 1, 2, 3], per_chunk=3, workers=2, in_process_rule=True)
+def test_pooled_points_equal_one_worker_points(
+    n, pattern, iterations, snr_ids, per_chunk, workers, in_process_rule
+):
+    # a few iterations per chunk put the batch boundaries inside and across SNRs;
+    # the in-process rule is either left as it is or switched off
+    spec = _spec(n=n, pattern=pattern, pilots=None if pattern == "block" else n // 8, iterations=iterations)
+    snrs = [_SNRS[k] for k in snr_ids]
+    chunk_samples = per_chunk * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
+    min_samples = harness._HELPER_MIN_SAMPLES if in_process_rule else 1
+    with mock.patch.object(harness, "_CHUNK_SAMPLES", chunk_samples), _cpus(workers):
+        seq = harness._run_points(spec, snrs, 1)
+        with mock.patch.object(harness, "_HELPER_MIN_SAMPLES", min_samples):
+            assert harness._run_points(spec, snrs, workers) == seq
 
 
 def test_sweep_splits_chunk_counts_by_snr():
