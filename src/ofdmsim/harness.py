@@ -26,9 +26,10 @@ import numpy as np
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from .errors import InvalidConfiguration, SingularChannelGain
 from .modem import Constellation, _write_lines, build_constellation, demap_symbols, map_bits
-from .numerics import RngStream, q_function, seeded_stream, workspace
+from .numerics import BLOCK, RngStream, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
+    _fixed_pilots,
     allocate_subcarriers,
     build_frequency_symbol,
     channel_frequency_response,
@@ -88,6 +89,8 @@ class SweepSpec:
             raise InvalidConfiguration("iterations must be >= 1")
         if self.symbols_per_iteration < 1:
             raise InvalidConfiguration("symbols_per_iteration must be >= 1")
+        if not 0 <= self.seed < 2**64:  # a stream key is 64 bits: any other seed would alias one inside
+            raise InvalidConfiguration(f"seed must be in [0, 2**64), got {self.seed}")
         h = channel_frequency_response(self.channel, self.cfg.n_subchannels)
         if np.any(np.abs(h[data_bins(self.cfg, self.symbols_per_iteration)]) < 1e-12):
             raise SingularChannelGain("channel response is zero on a subcarrier that carries data")
@@ -162,6 +165,20 @@ def snr_grid(spec: SweepSpec) -> list[float]:
     return [spec.snr_start_db + i * spec.snr_step_db for i in range(count)]
 
 
+@functools.lru_cache(maxsize=16)
+def _read_ranges(cfg: OfdmConfig, n_sym: int, block: int) -> tuple[tuple[int, int, int], ...]:
+    """(uniforms to skip, start, stop) of each run of frame samples that reach a data bin: data symbol
+    bodies, joined through the prefix between two when N < block (a draw costs more than a prefix)."""
+    ranges: list[tuple[int, int]] = []
+    for j in np.flatnonzero(~_fixed_pilots(cfg, range(n_sym)).all(axis=1)).tolist():
+        start, stop = j * cfg.samples_per_symbol, (j + 1) * cfg.samples_per_symbol
+        if ranges and ranges[-1][1] == start and cfg.n_subchannels < block:
+            ranges[-1] = (ranges[-1][0], stop)
+        else:
+            ranges.append((start + cfg.cp_len, stop))
+    return tuple((2 * (start - end), start, stop) for (start, stop), (_, end) in zip(ranges, [(0, 0)] + ranges))
+
+
 def _frame_chunk(
     spec: SweepSpec, const: Constellation, h: np.ndarray, task: tuple[float, range]
 ) -> tuple[int, int]:
@@ -181,12 +198,14 @@ def _frame_chunk(
     grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
     build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
 
-    # one row per frame: each starts from silence and draws its own noise
+    # one row per frame: each starts from silence and draws its own noise where the receiver reads it
     tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
     faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
     power = signal_power(tx)
-    for frame, s in enumerate(streams):
-        add_awgn(faded[frame], snr_db, power[frame], s.child(_TAG_NOISE), out=tx[frame])
+    for frame, noise in enumerate([s.child(_TAG_NOISE) for s in streams]):
+        for gap, start, stop in _read_ranges(cfg, n_sym, BLOCK):  # each sample keeps its stream position
+            noise.skip(gap)
+            add_awgn(faded[frame, start:stop], snr_db, power[frame], noise, out=tx[frame, start:stop])
 
     ofdm_demodulate(tx.reshape(rows, -1), cfg, out=grid)
     data = extract_data(equalize(grid, h, out=grid), smap, out=b[:n_data])

@@ -4,8 +4,8 @@ A stream is a Philox key, (seed, stream_id), plus a position: the count of
 uniforms it has drawn. Philox is counter-based, so each thread keeps one
 generator next to its workspace arrays and sets it to a stream's key and
 position before each draw; a stream costs nothing to make and reproduces
-independent of scheduling. Bits cost one uniform each and Gaussian pairs
-come from the Box-Muller transform (exactly two uniforms per pair).
+independent of scheduling. A bit costs one uniform, a Box-Muller Gaussian
+pair exactly two, and skip(n) moves the position past n uniforms undrawn.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ class RngStream:
         for p in path:
             sid = _splitmix64(sid ^ _path_hash(int(p)))
         return RngStream(self.seed, sid)
+
+    def skip(self, n: int) -> None:
+        """Advance past the next n uniforms without drawing them."""
+        if n < 0:
+            raise ValueError(f"cannot skip a negative count of uniforms, got {n}")
+        self._pos += n
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniform doubles on [0, 1)."""

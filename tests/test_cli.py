@@ -220,6 +220,13 @@ def test_error_after_the_sweep_starts_is_a_failed_simulation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+def test_seed_outside_64_bits_exits_two_before_any_draw(tmp_path, capsys, seed):
+    out = tmp_path / "result.csv"
+    with mock.patch.object(harness, "seeded_stream", side_effect=AssertionError("drew")):
+        _one_line_exit_two(capsys, main(_args(out, (f"--seed={seed}",))), out)
+
+
 def test_snr_whose_noise_power_overflows_exits_two(tmp_path, capsys):
     out = tmp_path / "result.csv"
     _one_line_exit_two(capsys, main(_args(out, ("--snr-start=-1e308", "--snr-stop=-1e308"))), out)

@@ -37,7 +37,10 @@ from ofdmsim.modem import build_constellation, demap_symbols, map_bits
 from ofdmsim.numerics import q_function, seeded_stream
 from ofdmsim.ofdm import (
     OfdmConfig,
+    allocate_subcarriers,
     channel_frequency_response,
+    equalize,
+    extract_data,
     ofdm_demodulate,
     ofdm_modulate,
 )
@@ -68,6 +71,10 @@ def test_spec_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidConfiguration):
                 _spec(**{field: value})
+    for seed in (-1, 2**64, 2**64 + 1):  # would alias 2**64 - 1, 0 and 1 as a 64-bit key
+        with pytest.raises(InvalidConfiguration, match="seed"):
+            _spec(seed=seed)
+    assert _spec(seed=0).seed == 0 and _spec(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_eb_n0_offset():
@@ -745,3 +752,64 @@ def test_extreme_snrs_that_have_a_noise_power_run_without_warnings():
     for snr_db in (math.inf, 1e308):  # +inf is the noiseless flag; 1e308 dB has a noise power of 0.0
         pt = run_ber_point(spec, snr_db)
         assert pt.bit_errors == 0 and pt.analytic_ber == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_n=st.integers(3, 13),
+    cp_frac=st.sampled_from([0.0, 0.125, 0.5]) | st.floats(0.0, 0.99),
+    pattern=st.sampled_from(["block", "comb", "random"]),
+    n_sym=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_samples_outside_the_read_ranges_never_reach_data(log_n, cp_frac, pattern, n_sym, seed):
+    # N runs from 8 to twice harness.BLOCK, so both the merged and the split ranges are taken
+    n = 1 << log_n
+    cfg = OfdmConfig(n_subchannels=n, cp_len=int(cp_frac * n), pilot_pattern=pattern)
+    ranges = harness._read_ranges(cfg, n_sym, harness.BLOCK)
+    ends = [0] + [edge for _, start, stop in ranges for edge in (start, stop)] + [n_sym * cfg.samples_per_symbol]
+    assert ends == sorted(ends)  # disjoint, ascending and inside the frame: the stream only moves forward
+    assert [gap for gap, _, _ in ranges] == [2 * (b - a) for a, b in zip(ends[:-2:2], ends[1::2])]
+    if n >= harness.BLOCK:
+        assert all(stop - start == n for _, start, stop in ranges)
+    rx = np.full(n_sym * cfg.samples_per_symbol, np.nan, dtype=np.complex128)
+    for _, start, stop in ranges:
+        rx[start:stop] = 1.0 - 0.5j
+    smap = allocate_subcarriers(cfg, range(n_sym), [seeded_stream(seed)])
+    grid = ofdm_demodulate(rx.reshape(n_sym, -1), cfg)
+    data = extract_data(equalize(grid, np.ones(n)), smap)
+    assert data.size == smap.data_indices.size and np.isfinite(data).all()
+
+
+@pytest.mark.parametrize("pattern", ["comb", "block", "random"])
+@pytest.mark.parametrize(
+    "cp_len, taps",
+    [
+        (512, ((0.8, 0), (0.45 - 0.2j, 3), (0.1, 200))),
+        (0, ((1.0, 0),)),
+        (512, ((1.0, 0), (0.3j, 700))),  # an echo beyond the prefix leaks into the next body
+    ],
+)
+def test_split_read_ranges_match_oracle_at_n4096(pattern, cp_len, taps):
+    # the small-spec oracle stops at N = 128, below harness.BLOCK, so it only sees merged ranges
+    cfg = OfdmConfig(n_subchannels=4096, cp_len=cp_len, pilot_pattern=pattern, mod_order=16)
+    spec = SweepSpec(cfg=cfg, iterations=1, channel=ChannelModel(taps))
+    pt = run_ber_point(spec, 6.0)
+    assert pt.bit_errors > 0
+    assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 6.0)
+
+
+def test_read_ranges_follow_a_patched_block():
+    # N = 32 with 10 block-pilot symbols: two merged ranges at the real BLOCK,
+    # eight single bodies once BLOCK is patched down to N
+    cfg = OfdmConfig(n_subchannels=32, cp_len=4, pilot_pattern="block", mod_order=16)
+    spec = SweepSpec(cfg=cfg, iterations=3, channel=ChannelModel(((1.0, 0), (0.3j, 5))))
+    calls = []
+    for block in (harness.BLOCK, 32, harness.BLOCK):
+        with mock.patch.object(harness, "BLOCK", block), \
+                mock.patch.object(harness, "add_awgn", wraps=harness.add_awgn) as awgn:
+            pt = run_ber_point(spec, 4.0)
+        calls.append(awgn.call_count)
+        assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 4.0)
+    assert calls == [2 * spec.iterations, 8 * spec.iterations, 2 * spec.iterations]
+    assert harness._read_ranges(cfg, 10, harness.BLOCK) == ((80, 40, 288), (80, 328, 360))

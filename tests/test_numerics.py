@@ -5,7 +5,7 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmsim.numerics import BLOCK, RngStream, q_function, seeded_stream, workspace
@@ -160,6 +160,9 @@ def _reference_draws(ref, method, n):
     """What a stream's own Philox generator gives for one draw call."""
     if method == "uniforms":
         return ref.random(n)
+    if method == "skip":
+        ref.random(n)
+        return None
     if method == "bits":
         return (ref.random(n) < 0.5).astype(np.uint8)
     u = ref.random(2 * n)
@@ -169,7 +172,9 @@ def _reference_draws(ref, method, n):
 
 
 def _assert_same_draws(got, want):
-    if isinstance(want, tuple):
+    if want is None:
+        assert got is None
+    elif isinstance(want, tuple):
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
     else:
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -184,9 +189,14 @@ _SIZES = st.integers(-2, 9) | st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 3, 2 * 
     seed=_KEYS,
     stream_ids=st.lists(_KEYS, min_size=2, max_size=3, unique=True),
     calls=st.lists(
-        st.tuples(st.integers(0, 2), st.sampled_from(["uniforms", "bits", "gaussian_pairs"]), _SIZES), max_size=12
+        st.tuples(st.integers(0, 2), st.sampled_from(["uniforms", "bits", "gaussian_pairs", "skip"]), _SIZES), max_size=12
     ),
 )
+# skips of 0, 1, 3 and BLOCK + 3 uniforms, each from a position that is not a multiple of 4, and negative ones
+@example(seed=5, stream_ids=[9, 10], calls=[
+    (0, "uniforms", 1), (0, "skip", 0), (0, "skip", 1), (0, "skip", 3), (0, "gaussian_pairs", 1),
+    (1, "bits", 3), (1, "skip", BLOCK + 3), (1, "skip", -1), (0, "skip", -2), (1, "gaussian_pairs", 3),
+])
 def test_interleaved_draws_match_one_generator_per_stream(seed, stream_ids, calls):
     streams = [RngStream(seed, sid) for sid in stream_ids]
     refs = [np.random.Generator(np.random.Philox(counter=0, key=(sid << 64) | seed)) for sid in stream_ids]

@@ -31,3 +31,17 @@ def test_traced_point_counts_every_transform_row():
         harness.run_ber_point(spec, 10.0)
     assert tracer.counts["transform.rows"] == 2 * spec.iterations * spec.symbols_per_iteration
     assert tracer.self_ns["transform.fft_s"] > 0 and tracer.self_ns["transform.ifft_s"] > 0
+
+
+def test_traced_block_point_draws_noise_only_on_read_samples():
+    # ten symbols at N = 4096 with block pilots: symbols 0 and 8 hold only pilots, so
+    # noise lands on the 8 data bodies and on no prefix
+    n, data_symbols, pilot_symbols = 4096, 8, 2
+    spec = SweepSpec(cfg=OfdmConfig(n_subchannels=n, pilot_pattern="block", mod_order=16), iterations=1)
+    with spans.Tracer(spans.point_targets()) as tracer:
+        harness.run_ber_point(spec, 6.0)
+    bits = 4 * n * data_symbols
+    pilot_values = 2 * n * pilot_symbols
+    read_samples = n * data_symbols
+    assert tracer.counts["numerics.uniforms_drawn"] == bits + pilot_values + 2 * read_samples
+    assert tracer.self_ns["channel.awgn_self_s"] > 0
