@@ -24,7 +24,6 @@ from .harness import (
     eb_n0_offset_db,
     run_ber_point,
     run_sweep,
-    single_carrier_ber_counts,
     snr_db_for_eb_n0,
     snr_grid,
     write_csv,
@@ -88,5 +87,4 @@ __all__ = [
     "eb_n0_offset_db",
     "eb_n0_db_for_snr",
     "snr_db_for_eb_n0",
-    "single_carrier_ber_counts",
 ]

@@ -3,7 +3,8 @@
 Every flag can also come from a config file of "key = value" lines (keys are
 the exact flag names without the leading dashes): each line becomes a
 "--key=value" flag placed before the command line's, so command-line flags
-win. Exit codes: 0 success, 2 bad configuration or failed run, 3 I/O failure.
+win. Exit codes: 0 success, 2 bad configuration (a frame too big for memory
+included) or failed run, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ def _run(argv) -> int:
     )
     try:
         result = run_sweep(spec, workers=args.workers)
-    except OfdmSimError as exc:  # the settings were valid: the run itself failed
-        print(f"ofdmsim: simulation failed: {exc}", file=sys.stderr)
+    except (OfdmSimError, MemoryError) as exc:  # the settings were valid: the run itself failed
+        print(f"ofdmsim: simulation failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     _print_summary(result)
     if args.out:
@@ -157,8 +158,8 @@ def _run(argv) -> int:
 def main(argv=None) -> int:
     try:
         return _run(argv)
-    except OfdmSimError as exc:
-        print(f"ofdmsim: invalid configuration: {exc}", file=sys.stderr)
+    except (OfdmSimError, MemoryError) as exc:  # MemoryError: a frame too big to allocate, found building the spec
+        print(f"ofdmsim: invalid configuration: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"ofdmsim: I/O error: {exc}", file=sys.stderr)

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
-from .errors import InvalidConfiguration, SingularChannelGain
+from .errors import InvalidConfiguration, OfdmSimError, SingularChannelGain
 from .modem import Constellation, _write_lines, build_constellation, demap_symbols, map_bits
-from .numerics import BLOCK, RngStream, q_function, seeded_stream, workspace
+from .numerics import BLOCK, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
     _fixed_pilots,
@@ -114,13 +114,9 @@ class SweepResult:
     metadata: dict
 
 
-def bits_per_symbol(order: int) -> int:
-    return build_constellation(order).bits_per_symbol  # validates order
-
-
 def eb_n0_offset_db(cfg: OfdmConfig) -> float:
     """snr_db - eb_n0_db for this configuration."""
-    k = bits_per_symbol(cfg.mod_order)
+    k = build_constellation(cfg.mod_order).bits_per_symbol
     return 10.0 * math.log10(k * cfg.nominal_data_count / cfg.n_subchannels)
 
 
@@ -137,9 +133,9 @@ def analytic_ber(order: int, eb_n0_db: float) -> float | None:
 
     order 4 is exact; order 16 is the nearest-neighbor approximation
     0.75*Q(sqrt(0.8*gamma_b)), good to a few percent above ~6 dB; order 8
-    has no closed form here (its oracle is single-carrier Monte Carlo).
+    has none adopted here.
     """
-    k = bits_per_symbol(order)  # validates order
+    build_constellation(order)  # validates order
     if order == 8:
         return None
     gamma_b = 10.0 ** min(eb_n0_db / 10.0, 300.0)  # Q is 0.0 long before this; beyond it the power overflows
@@ -166,13 +162,13 @@ def snr_grid(spec: SweepSpec) -> list[float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _read_ranges(cfg: OfdmConfig, n_sym: int, block: int) -> tuple[tuple[int, int, int], ...]:
+def _read_ranges(cfg: OfdmConfig, n_sym: int) -> tuple[tuple[int, int, int], ...]:
     """(uniforms to skip, start, stop) of each run of frame samples that reach a data bin: data symbol
-    bodies, joined through the prefix between two when N < block (a draw costs more than a prefix)."""
+    bodies, joined through the prefix between two when N < BLOCK (a draw costs more than a prefix)."""
     ranges: list[tuple[int, int]] = []
     for j in np.flatnonzero(~_fixed_pilots(cfg, range(n_sym)).all(axis=1)).tolist():
         start, stop = j * cfg.samples_per_symbol, (j + 1) * cfg.samples_per_symbol
-        if ranges and ranges[-1][1] == start and cfg.n_subchannels < block:
+        if ranges and ranges[-1][1] == start and cfg.n_subchannels < BLOCK:
             ranges[-1] = (ranges[-1][0], stop)
         else:
             ranges.append((start + cfg.cp_len, stop))
@@ -203,7 +199,7 @@ def _frame_chunk(
     faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
     power = signal_power(tx)
     for frame, noise in enumerate([s.child(_TAG_NOISE) for s in streams]):
-        for gap, start, stop in _read_ranges(cfg, n_sym, BLOCK):  # each sample keeps its stream position
+        for gap, start, stop in _read_ranges(cfg, n_sym):  # each sample keeps its stream position
             noise.skip(gap)
             add_awgn(faded[frame, start:stop], snr_db, power[frame], noise, out=tx[frame, start:stop])
 
@@ -217,7 +213,8 @@ def _helper_loop(conn, parent_end) -> None:
     """Send back fn over the tasks of each (fn, tasks) received, or the exception it raised.
     The copies of older helpers' parent ends that a forked helper holds close when it exits."""
     parent_end.close()  # so that the pipe reads EOF, and this loop ends, once the parent is gone
-    with contextlib.suppress(EOFError, BrokenPipeError, KeyboardInterrupt):  # Ctrl-C is the parent's to report
+    # a parent gone, or one that dropped this helper with a reply unread; Ctrl-C is the parent's to report
+    with contextlib.suppress(EOFError, ConnectionError, KeyboardInterrupt):
         while True:
             fn, tasks = conn.recv()
             try:
@@ -239,9 +236,12 @@ def _map_on_helpers(fn, batches: list[list]) -> list:
                 proc.start()
                 child_end.close()
                 helpers.append((proc, parent_end))
-            for (_, conn), batch in zip(helpers, batches):
-                conn.send((fn, batch))
-            replies = [conn.recv() for _, conn in helpers[: len(batches)]]
+            try:
+                for (_, conn), batch in zip(helpers, batches):
+                    conn.send((fn, batch))
+                replies = [conn.recv() for _, conn in helpers[: len(batches)]]
+            except (EOFError, ConnectionError) as exc:  # a helper was killed mid-call
+                raise OfdmSimError(f"a helper process exited during the call ({type(exc).__name__})") from exc
             if errors := [reply for reply in replies if isinstance(reply, Exception)]:
                 raise errors[0]
         except BaseException:
@@ -326,22 +326,3 @@ def write_csv(result: SweepResult, sink) -> None:
         )
     _write_lines(lines, sink)
 
-
-def single_carrier_ber_counts(
-    order: int, eb_n0_db: float, n_bits: int, rng: RngStream
-) -> tuple[int, int]:
-    """Monte Carlo BER of the bare constellation over AWGN (no OFDM).
-
-    Gray-mapped symbols of unit energy receive complex Gaussian noise with
-    variance 1/(bits_per_symbol * gamma_b); returns (bit_errors, bits_sent).
-    """
-    const = build_constellation(order)
-    k = const.bits_per_symbol
-    n_sym = -(-n_bits // k)
-    bits = rng.bits(n_sym * k)
-    syms = map_bits(bits, const)
-    gamma_s = k * 10.0 ** (eb_n0_db / 10.0)
-    sigma = math.sqrt(1.0 / (2.0 * gamma_s))
-    re, im = rng.gaussian_pairs(n_sym)
-    rx_bits = demap_symbols(syms + sigma * (re + 1j * im), const)
-    return int(np.count_nonzero(rx_bits != bits)), n_sym * k

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import multiprocessing
 import os
 import re
 import tempfile
@@ -218,6 +219,44 @@ def test_error_after_the_sweep_starts_is_a_failed_simulation(tmp_path, capsys):
     assert captured.err.splitlines() == ["ofdmsim: simulation failed: chunk of 3 for 4"]
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_memory_error_after_the_sweep_starts_is_a_failed_simulation(tmp_path, capsys):
+    out = tmp_path / "result.csv"
+    with mock.patch.object(harness, "_frame_chunk", side_effect=MemoryError):
+        assert main(_args(out)) == 2
+    assert capsys.readouterr().err.splitlines() == ["ofdmsim: simulation failed: out of memory"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [("--subchannels", str(2**50)), ("--subchannels", "64", "--symbols-per-iter", str(10**15))]
+)
+def test_frame_too_big_for_memory_exits_two(tmp_path, capsys, flags):
+    # arrays of 8 and 57 PiB: past a 128 TiB user address space, so no host can grant them lazily
+    out = tmp_path / "result.csv"
+    _one_line_exit_two(capsys, main([*flags, "--out", str(out)]), out)
+
+
+def _chunk_exiting_in_a_helper(spec, const, h, task):
+    # module level, so that a helper can unpickle it by name; never ends the test process itself
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("ran outside a helper")
+    os._exit(1)
+
+
+def test_helper_lost_mid_call_exits_two(tmp_path, capfd):
+    # capfd, not capsys: a helper writes to the stderr file it inherited, not to sys.stderr
+    out = tmp_path / "result.csv"
+    with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True), \
+            mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1), \
+            mock.patch.object(harness, "_frame_chunk", _chunk_exiting_in_a_helper):
+        assert main(_args(out, ("--workers", "2"))) == 2
+    captured = capfd.readouterr()
+    assert captured.err.splitlines() == ["ofdmsim: simulation failed: a helper process exited during the call (EOFError)"]
+    assert captured.out == ""
+    assert not out.exists()
+    assert harness._helpers[os.getpid()][1] == []
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])

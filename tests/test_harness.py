@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ofdmsim import harness, ofdm
 from ofdmsim.channel import ChannelModel, add_awgn, apply_multipath, signal_power
-from ofdmsim.errors import InvalidConfiguration, SingularChannelGain, UnsupportedOrder
+from ofdmsim.errors import InvalidConfiguration, OfdmSimError, SingularChannelGain, UnsupportedOrder
 from ofdmsim.harness import (
     MAX_SNR_POINTS,
     SweepSpec,
@@ -28,7 +28,6 @@ from ofdmsim.harness import (
     eb_n0_offset_db,
     run_ber_point,
     run_sweep,
-    single_carrier_ber_counts,
     snr_db_for_eb_n0,
     snr_grid,
     write_csv,
@@ -281,6 +280,53 @@ def test_task_error_in_a_helper_reraises_and_drops_the_helpers(helpers):
     assert not set(before) & set(_pids(helpers))
 
 
+def _chunk_exiting_past_iteration_zero(spec, const, h, task):
+    # a helper ended mid-task, as by kill -9 or the OOM killer; never the test process itself
+    if task[1].start > 0 and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _frame_chunk(spec, const, h, task)
+
+
+def _chunk_killing_the_first_helper(spec, const, h, task):
+    # runs on the second helper, which was forked after the first and so holds its pid
+    os.kill(harness._helpers[os.getppid()][1][0][0].pid, signal.SIGKILL)
+    return _frame_chunk(spec, const, h, task)
+
+
+@pytest.mark.parametrize("loss", ["exit-mid-task", "dead-before-send", "killed-before-read"])
+def test_helper_lost_mid_call_raises_and_drops_the_helpers(helpers, loss):
+    # each loss surfaces differently on the pipe: EOFError, BrokenPipeError, ConnectionResetError
+    spec = _spec(n=64, pilots=8, iterations=12)  # 3 tasks: batches [t0, t1] and [t2]
+    seq = run_ber_point(spec, 6.0)
+    with _cpus(2):
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+        before = _pids(helpers)
+        first = helpers[0][0]
+        if loss == "exit-mid-task":
+            lose = mock.patch.object(harness, "_frame_chunk", _chunk_exiting_past_iteration_zero)
+        elif loss == "dead-before-send":  # it dies between the liveness check and the send
+            os.kill(first.pid, signal.SIGKILL)
+            first.join(timeout=5)
+            lose = mock.patch.object(type(first), "is_alive", return_value=True)
+        else:  # stopped, so its batch is still unread in the pipe when the second helper kills it
+            os.kill(first.pid, signal.SIGSTOP)
+            lose = mock.patch.object(harness, "_frame_chunk", _chunk_killing_the_first_helper)
+        with lose, pytest.raises(OfdmSimError, match="helper process exited"):
+            run_ber_point(spec, 6.0, workers=2)
+        assert helpers == []
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+    assert len(helpers) == 2
+    assert not set(before) & set(_pids(helpers))
+
+
+def test_helper_dropped_with_its_reply_unread_ends_quietly():
+    # the surviving helpers of a lost call: a reset pipe ends the loop, with no traceback on the shared stderr
+    conn, parent_end = multiprocessing.Pipe()
+    conn.send("a reply the parent never read")
+    parent_end.close()
+    harness._helper_loop(conn, parent_end)
+
+
 def _child_point(spec, conn):
     with _cpus(2), mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1):
         point = run_ber_point(spec, 6.0, workers=2)
@@ -435,15 +481,14 @@ def test_ber_invariant_to_subchannel_count():
 
 
 @pytest.mark.parametrize("order", [4, 16])
-def test_ofdm_equals_single_carrier(order):
+def test_ofdm_equals_single_carrier(order, reference):
     cfg = OfdmConfig(n_subchannels=256, mod_order=order, pilot_count=0)
     eb = 6.0
     spec = SweepSpec(cfg=cfg, iterations=60)
-    pt = run_ber_point(spec, snr_db_for_eb_n0(eb, cfg))
-    errors, bits = single_carrier_ber_counts(order, eb, pt.bits_total, seeded_stream(77, 0))
-    sc_ber = errors / bits
-    sigma = math.sqrt(pt.stderr_est ** 2 + sc_ber * (1 - sc_ber) / bits)
-    assert abs(pt.ber - sc_ber) <= 3 * sigma
+    snr_db = snr_db_for_eb_n0(eb, cfg)
+    pt = run_ber_point(spec, snr_db)
+    expected = reference.point_reference(cfg, ChannelModel.identity(), snr_db)
+    assert abs(pt.ber - expected) <= 3 * math.sqrt(expected * (1 - expected) / pt.bits_total)
 
 
 def test_multipath_channel_point_is_error_free_noiseless():
@@ -766,7 +811,7 @@ def test_samples_outside_the_read_ranges_never_reach_data(log_n, cp_frac, patter
     # N runs from 8 to twice harness.BLOCK, so both the merged and the split ranges are taken
     n = 1 << log_n
     cfg = OfdmConfig(n_subchannels=n, cp_len=int(cp_frac * n), pilot_pattern=pattern)
-    ranges = harness._read_ranges(cfg, n_sym, harness.BLOCK)
+    ranges = harness._read_ranges(cfg, n_sym)
     ends = [0] + [edge for _, start, stop in ranges for edge in (start, stop)] + [n_sym * cfg.samples_per_symbol]
     assert ends == sorted(ends)  # disjoint, ascending and inside the frame: the stream only moves forward
     assert [gap for gap, _, _ in ranges] == [2 * (b - a) for a, b in zip(ends[:-2:2], ends[1::2])]
@@ -806,10 +851,12 @@ def test_read_ranges_follow_a_patched_block():
     spec = SweepSpec(cfg=cfg, iterations=3, channel=ChannelModel(((1.0, 0), (0.3j, 5))))
     calls = []
     for block in (harness.BLOCK, 32, harness.BLOCK):
+        harness._read_ranges.cache_clear()  # the ranges are cached per (cfg, n_sym), not per BLOCK
         with mock.patch.object(harness, "BLOCK", block), \
                 mock.patch.object(harness, "add_awgn", wraps=harness.add_awgn) as awgn:
             pt = run_ber_point(spec, 4.0)
+        harness._read_ranges.cache_clear()
         calls.append(awgn.call_count)
         assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 4.0)
     assert calls == [2 * spec.iterations, 8 * spec.iterations, 2 * spec.iterations]
-    assert harness._read_ranges(cfg, 10, harness.BLOCK) == ((80, 40, 288), (80, 328, 360))
+    assert harness._read_ranges(cfg, 10) == ((80, 40, 288), (80, 328, 360))

@@ -11,9 +11,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ofdmsim.harness import run_ber_point
+from ofdmsim.harness import analytic_ber, run_ber_point
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +54,10 @@ def test_first_sweep_reproduces_the_golden_counts(name):
     spec = wl.specs(workloads.DEFAULT_SEED)[0]
     points = [(snr, run_ber_point(spec, snr, workers=1)) for snr in wl.snr_db]
     assert [[snr, pt.bit_errors, pt.bits_total] for snr, pt in points] == golden["workloads"][name][0]
+
+
+def test_exact_qpsk_reference_equals_analytic_ber():
+    # C7 checks order 8 against reference.qam_ber; for Gray QPSK (Es/N0 = 2 gamma_b) both formulas are exact
+    for eb_n0_db in np.linspace(-5.0, 15.0, 81):
+        gamma_b = 10.0 ** (eb_n0_db / 10.0)
+        assert reference.qam_ber(4, 2.0 * gamma_b) == pytest.approx(analytic_ber(4, eb_n0_db), rel=1e-12, abs=0.0)
