@@ -46,16 +46,19 @@ _TAG_NOISE = 2
 _TAG_ALLOC = 3
 
 # Iterations run in chunks of about this many time samples, each chunk as one
-# frame tensor, so every stage costs one call per chunk: 5 iterations at N = 64
-# with 10 symbols, one from N = 256 up. For its last chunk shape each thread keeps
-# two frame tensors (1 474 560 B at N = 4096, cp 512, 10 symbols).
-_CHUNK_SAMPLES = 4096
+# frame tensor, so every stage, and each chunk's set-up, costs one call per
+# chunk: 45 iterations at N = 64 with 10 symbols, 11 at N = 256, one from
+# N = 2048 up (the sizes measured are in BENCH_8.json). Below 46 080 samples an
+# N = 4096 chunk stays one iteration. For its last chunk shape each thread
+# keeps two frame tensors (1 474 560 B at N = 4096, cp 512, 10 symbols).
+_CHUNK_SAMPLES = 32_768
 
 # Helper processes of each pid: a lock and its (process, pipe end) pairs. A
 # forked child makes its own entry, so it never talks to its parent's helpers.
 _helpers: dict[int, tuple[threading.Lock, list]] = {}
-# each helper gets at least this many samples: less does not pay back a pipe round trip (BENCH_6.json)
-_HELPER_MIN_SAMPLES = 4 * _CHUNK_SAMPLES
+# each helper gets at least this many samples, summed over the SNRs: less does not pay back a pipe
+# round trip (BENCH_6.json, then 4 chunks of 4096); it is not tied to _CHUNK_SAMPLES (BENCH_8.json)
+_HELPER_MIN_SAMPLES = 16_384
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
 MAX_SNR_POINTS = 10_000

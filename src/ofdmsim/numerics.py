@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +25,9 @@ _scratch = threading.local()  # each thread's {owner: its workspace array}
 _philox = threading.local()  # and its one generator; a draw sets it to a stream's key and position
 
 
-def _splitmix64(z: int) -> int:
-    """One splitmix64 step; used to derive child stream ids."""
+def _splitmix64(z):
+    """One splitmix64 step; used to derive child stream ids. On a uint64 array
+    it steps every element: numpy's uint64 arithmetic wraps mod 2**64 already."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -63,10 +65,12 @@ class RngStream:
     def _gen(self) -> np.random.Generator:
         if not hasattr(_philox, "gen"):  # this thread's generator, set below to draw this stream's next uniform
             _philox.gen = np.random.Generator(np.random.Philox(0))
+            _philox.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                             "has_uint32": 0, "uinteger": 0, "state": {"counter": [0, 0, 0, 0], "key": [0, 0]}}
         block, skip = divmod(self._pos, 4)  # Philox makes 4 doubles per counter step and steps before each block
-        _philox.gen.bit_generator.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                                           "has_uint32": 0, "uinteger": 0,
-                                           "state": {"counter": (block, 0, 0, 0), "key": (self.seed, self.stream_id)}}
+        state = _philox.state["state"]  # the setter copies it, so each draw refills the same dict
+        state["counter"][0], state["key"][:] = block, (self.seed, self.stream_id)
+        _philox.gen.bit_generator.state = _philox.state
         if skip:
             _philox.gen.random(skip)
         return _philox.gen
@@ -92,9 +96,9 @@ class RngStream:
             raise ValueError(f"cannot skip a negative count of uniforms, got {n}")
         self._pos += n
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next n uniform doubles on [0, 1)."""
-        u = self._gen().random(n)
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next n uniform doubles on [0, 1), written to out (of n doubles) if given."""
+        u = self._gen().random(None if out is not None else n, out=out)  # a size with out costs a shape check
         self._pos += u.size
         return u
 
@@ -113,6 +117,13 @@ class RngStream:
         r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
         theta = (2.0 * np.pi) * u[1::2]
         return r * np.cos(theta), r * np.sin(theta)
+
+
+def children(streams: Sequence[RngStream], tag: int, indices: range) -> list[RngStream]:
+    """[s.child(tag, j) for s in streams for j in indices], with every id hashed in one array pass."""
+    ids = _splitmix64(np.array([s.stream_id for s in streams], dtype=np.uint64) ^ _path_hash(tag))
+    ids = _splitmix64(ids[:, None] ^ np.array([_path_hash(j) for j in indices], dtype=np.uint64))
+    return [RngStream(s.seed, sid) for s, row in zip(streams, ids.tolist()) for sid in row]
 
 
 def seeded_stream(seed: int, stream_id: int = 0) -> RngStream:

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .modem import _AXIS_BITS
-from .numerics import RngStream
+from .numerics import RngStream, children
 
 PILOT_PATTERNS = ("block", "comb", "random")
 
@@ -149,19 +149,21 @@ def allocate_subcarriers(
     """
     n = cfg.n_subchannels
     count = cfg.pilot_count
-    rows = [(s, j) for s in streams for j in symbols]  # frame-major, as the grid
     if cfg.pilot_pattern == "random" and count:
-        u = np.stack([s.child(_TAG_INDICES, j).uniforms(n) for s, j in rows])
+        u = np.empty((len(streams) * len(symbols), n))  # frame-major, as the grid
+        for row_stream, row in zip(children(streams, _TAG_INDICES, symbols), u):
+            row_stream.uniforms(n, out=row)
         is_pilot = np.zeros(u.shape, dtype=bool)
         np.put_along_axis(is_pilot, np.argsort(u, axis=1, kind="stable")[:, :count], True, axis=1)
         pilots, data = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
-        per_row = [count] * len(rows)
+        per_row = [count] * len(u)
     else:
         pilots, data, per_row = _fixed_layout(cfg, symbols, len(streams))
     # one (re, im) sign pair per pilot from its row's value substream; rows without pilots draw nothing
-    u = np.concatenate(
-        [np.empty(0)] + [s.child(_TAG_VALUES, j).uniforms(2 * c) for (s, j), c in zip(rows, per_row) if c]
-    )
+    u = np.empty(2 * pilots.size)
+    for row_stream, c, end in zip(children(streams, _TAG_VALUES, symbols), per_row, np.cumsum(per_row).tolist()):
+        if c:
+            row_stream.uniforms(2 * c, out=u[2 * (end - c) : 2 * end])
     re = np.where(u[0::2] < 0.5, 1.0, -1.0)
     im = np.where(u[1::2] < 0.5, 1.0, -1.0)
     values = (re + 1j * im) * _INV_SQRT2

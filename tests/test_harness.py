@@ -151,12 +151,24 @@ def _cpus(count):
     return mock.patch("os.sched_getaffinity", return_value=set(range(count)), create=True)
 
 
+# the helper tests split their N = 64 points into tasks of at most 5 iterations
+_SMALL_CHUNK = 4096
+
+
+def _tasks(spec, snrs=(6.0,)):
+    """The (SNR, chunk) tasks that a run of spec over snrs makes, counted in-process."""
+    with mock.patch.object(harness, "_frame_chunk", wraps=harness._frame_chunk) as chunk:
+        harness._run_points(spec, list(snrs), 1)
+    return chunk.call_count
+
+
 @pytest.fixture
 def helpers():
     """This process's (process, pipe end) helper list, empty at the start;
-    the in-process rule for small points is off, so any point of two or more
-    tasks runs on helpers unless the CPU cap says otherwise."""
-    with mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1):
+    the in-process rule for small points is off and chunks are _SMALL_CHUNK,
+    so any point of two or more tasks runs on helpers unless the CPU cap says otherwise."""
+    with mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1), \
+            mock.patch.object(harness, "_CHUNK_SAMPLES", _SMALL_CHUNK):
         yield _drop_helpers()
     _drop_helpers()
 
@@ -166,7 +178,8 @@ def _pids(procs):
 
 
 def test_workers_capped_at_cpu_count(helpers, monkeypatch):
-    spec = _spec(n=64, pilots=8, iterations=12)  # 3 tasks
+    spec = _spec(n=64, pilots=8, iterations=12)
+    assert _tasks(spec) == 3
     seq = run_ber_point(spec, 6.0, workers=1)
     with _cpus(2):
         capped = run_ber_point(spec, 6.0, workers=100_000)
@@ -185,6 +198,7 @@ def test_workers_capped_at_cpu_count(helpers, monkeypatch):
 def test_one_usable_cpu_starts_no_helper(helpers):
     # the host may have more CPUs than this process is allowed to run on
     spec = _spec(n=64, pilots=8, iterations=12)
+    assert _tasks(spec) == 3
     seq = run_ber_point(spec, 6.0, workers=1)
     with _cpus(1), mock.patch("os.cpu_count", return_value=64):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -195,6 +209,7 @@ def test_sweep_starts_one_pool(helpers):
     spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
     per_point = tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
     assert len(per_point) == 3
+    assert _tasks(spec, snr_grid(spec)) == 9
     with _cpus(2):
         pooled = run_sweep(spec, workers=100_000)
     assert len(helpers) == 2
@@ -203,6 +218,7 @@ def test_sweep_starts_one_pool(helpers):
 
 def test_helpers_start_once_across_points_and_a_sweep(helpers):
     spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
+    assert _tasks(spec) == 3
     seen = []
     with _cpus(2):
         for snr in (0.0, 4.0, 8.0):
@@ -216,6 +232,7 @@ def test_helpers_start_once_across_points_and_a_sweep(helpers):
 
 def test_killed_helper_is_replaced_before_the_next_point(helpers):
     spec = _spec(n=64, pilots=8, iterations=12)
+    assert _tasks(spec) == 3
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -233,6 +250,7 @@ def test_threads_sharing_the_helpers_match_sequential_runs(helpers):
     # more helpers than cores, four threads taking turns on them, and a short
     # switch interval: a reply read by the wrong thread changes its counts
     specs = [_spec(n=64, pilots=8, iterations=12, seed=seed) for seed in range(4)]
+    assert _tasks(specs[0]) == 3
     expected = [run_ber_point(spec, 6.0) for spec in specs]
     results = [None] * len(specs)
 
@@ -267,6 +285,7 @@ def _chunk_failing_past_iteration_zero(spec, const, h, task):
 
 def test_task_error_in_a_helper_reraises_and_drops_the_helpers(helpers):
     spec = _spec(n=64, pilots=8, iterations=12)
+    assert _tasks(spec) == 3
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -296,7 +315,8 @@ def _chunk_killing_the_first_helper(spec, const, h, task):
 @pytest.mark.parametrize("loss", ["exit-mid-task", "dead-before-send", "killed-before-read"])
 def test_helper_lost_mid_call_raises_and_drops_the_helpers(helpers, loss):
     # each loss surfaces differently on the pipe: EOFError, BrokenPipeError, ConnectionResetError
-    spec = _spec(n=64, pilots=8, iterations=12)  # 3 tasks: batches [t0, t1] and [t2]
+    spec = _spec(n=64, pilots=8, iterations=12)
+    assert _tasks(spec) == 3  # batches [t0, t1] and [t2]
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -335,6 +355,7 @@ def _child_point(spec, conn):
 
 def test_forked_child_starts_its_own_helpers(helpers):
     spec = _spec(n=64, pilots=8, iterations=12)
+    assert _tasks(spec) == 3
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -343,6 +364,8 @@ def test_forked_child_starts_its_own_helpers(helpers):
         ours, theirs = ctx.Pipe()
         child = ctx.Process(target=_child_point, args=(spec, theirs))
         child.start()
+        theirs.close()  # so that a child that fails before sending ends the pipe, and poll returns
+        assert ours.poll(30), f"the forked child sent nothing (exit code {child.exitcode})"
         point, child_pids = ours.recv()
         child.join(timeout=30)
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -352,13 +375,14 @@ def test_forked_child_starts_its_own_helpers(helpers):
     assert _pids(helpers) == before
 
 
-_HOLDER = """
+_HOLDER = f"""
 import os, sys
 from ofdmsim import harness
 from ofdmsim.harness import SweepSpec, run_ber_point
 from ofdmsim.ofdm import OfdmConfig
-os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_getaffinity = lambda pid: {{0, 1}}
 harness._HELPER_MIN_SAMPLES = 1
+harness._CHUNK_SAMPLES = {_SMALL_CHUNK}  # 3 tasks
 run_ber_point(SweepSpec(cfg=OfdmConfig(n_subchannels=64), iterations=12), 6.0, workers=2)
 print(*[proc.pid for proc, _ in harness._helpers[os.getpid()][1]], flush=True)
 if sys.argv[1] == "wait":
@@ -668,10 +692,12 @@ def test_frame_chunks_match_per_symbol_oracle(case, snr_db):
 
 
 def test_default_chunks_match_oracle_past_a_chunk_boundary():
-    # N = 8, one symbol, no prefix: 512 iterations per chunk, so 513 span two
+    # N = 8, one symbol, no prefix: one iteration more than a default chunk holds spans two
     cfg = OfdmConfig(n_subchannels=8, cp_len=0, pilot_pattern="random", pilot_count=0, mod_order=16)
     channel = ChannelModel(((1.0, 0), (0.3 - 0.1j, 9)))  # echo later than the 8-sample frame
-    spec = SweepSpec(cfg=cfg, iterations=513, symbols_per_iteration=1, channel=channel)
+    spec = SweepSpec(cfg=cfg, iterations=harness._CHUNK_SAMPLES // 8 + 1, symbols_per_iteration=1,
+                     channel=channel)
+    assert _tasks(spec) == 2
     pt = run_ber_point(spec, 6.0)
     assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 6.0)
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.numerics import BLOCK, RngStream, q_function, seeded_stream, workspace
+from ofdmsim import ofdm
+from ofdmsim.numerics import BLOCK, RngStream, children, q_function, seeded_stream, workspace
 
 _MASK64 = (1 << 64) - 1
 
@@ -225,3 +226,29 @@ def test_stream_continued_on_another_thread_matches_the_one_shot_draw():
     assert not thread.is_alive()
     for got, want in zip(parts, whole, strict=True):
         _assert_same_draws(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.tuples(_KEYS, _KEYS), max_size=4),
+    tag=st.sampled_from([ofdm._TAG_INDICES, ofdm._TAG_VALUES]),
+    start=st.integers(0, 50) | st.integers(0, 2**64 - 13),
+    length=st.integers(0, 12),
+)
+@example(keys=[(3, 2**64 - 1), (3, 2**64 - 2), (2**64 - 1, 0)], tag=ofdm._TAG_VALUES, start=7, length=3)
+def test_children_keyed_in_one_pass_match_child(keys, tag, start, length):
+    streams = [RngStream(seed, sid) for seed, sid in keys]
+    symbols = range(start, start + length)
+    got = children(streams, tag, symbols)
+    want = [s.child(tag, j) for s in streams for j in symbols]
+    assert [(c.seed, c.stream_id) for c in got] == [(c.seed, c.stream_id) for c in want]
+
+
+def test_uniforms_into_out_match_a_fresh_draw():
+    stream, ref = seeded_stream(4, 2**64 - 1), seeded_stream(4, 2**64 - 1)
+    stream.skip(3)
+    ref.skip(3)
+    out = np.full(7, np.nan)
+    assert stream.uniforms(7, out=out) is out
+    _assert_same_draws(out, ref.uniforms(7))
+    _assert_same_draws(stream.uniforms(2), ref.uniforms(2))  # both moved on by the same 7

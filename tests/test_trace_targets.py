@@ -45,3 +45,19 @@ def test_traced_block_point_draws_noise_only_on_read_samples():
     read_samples = n * data_symbols
     assert tracer.counts["numerics.uniforms_drawn"] == bits + pilot_values + 2 * read_samples
     assert tracer.self_ns["channel.awgn_self_s"] > 0
+
+
+def test_traced_random_point_draws_every_pilot_row_through_uniforms():
+    # N = 64, 8 random pilots: each row draws N uniforms for its pilot indices and two per
+    # pilot for its values; N < BLOCK joins the prefixes between bodies, so noise is read
+    # from the first body to the end of the frame
+    n, pilots, order_bits = 64, 8, 3
+    cfg = OfdmConfig(n_subchannels=n, pilot_pattern="random", pilot_count=pilots, mod_order=8)
+    spec = SweepSpec(cfg=cfg, iterations=100)
+    with spans.Tracer(spans.point_targets()) as tracer:
+        harness.run_ber_point(spec, 6.0)
+    rows = spec.iterations * spec.symbols_per_iteration
+    bits = order_bits * (n - pilots) * rows
+    read_samples = spec.iterations * (spec.symbols_per_iteration * cfg.samples_per_symbol - cfg.cp_len)
+    assert tracer.counts["numerics.uniforms_drawn"] == bits + n * rows + 2 * pilots * rows + 2 * read_samples
+    assert tracer.counts["ofdm.allocate_calls"] == 3  # chunks of 45, 45 and 10 iterations
