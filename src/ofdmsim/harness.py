@@ -45,19 +45,18 @@ _TAG_BITS = 1
 _TAG_NOISE = 2
 _TAG_ALLOC = 3
 
-# Iterations run in chunks of about this many time samples, each chunk as one
-# frame tensor, so every stage, and each chunk's set-up, costs one call per
-# chunk: 45 iterations at N = 64 with 10 symbols, 11 at N = 256, one from
-# N = 2048 up (the sizes measured are in BENCH_8.json). Below 46 080 samples an
-# N = 4096 chunk stays one iteration. For its last chunk shape each thread
-# keeps two frame tensors (1 474 560 B at N = 4096, cp 512, 10 symbols).
+# Iterations run in chunks of about this many time samples, each chunk one frame tensor that is sent
+# once and received at every SNR, so every stage, and each chunk's set-up, costs one call per chunk:
+# 45 iterations at N = 64 with 10 symbols, 11 at N = 256, one from N = 2048 up (the sizes measured
+# are in BENCH_8.json). Below 46 080 samples an N = 4096 chunk stays one iteration. For its last chunk
+# shape each thread keeps three frame tensors (2 211 840 B at N = 4096, cp 512, 10 symbols).
 _CHUNK_SAMPLES = 32_768
 
 # Helper processes of each pid: a lock and its (process, pipe end) pairs. A
 # forked child makes its own entry, so it never talks to its parent's helpers.
 _helpers: dict[int, tuple[threading.Lock, list]] = {}
-# each helper gets at least this many samples, summed over the SNRs: less does not pay back a pipe
-# round trip (BENCH_6.json, then 4 chunks of 4096); it is not tied to _CHUNK_SAMPLES (BENCH_8.json)
+# each helper gets at least this many samples, summed over the SNRs: less did not pay back a pipe round
+# trip when each SNR sent its own frames (BENCH_6.json); it is not tied to _CHUNK_SAMPLES (BENCH_8.json)
 _HELPER_MIN_SAMPLES = 16_384
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
@@ -179,11 +178,11 @@ def _read_ranges(cfg: OfdmConfig, n_sym: int) -> tuple[tuple[int, int, int], ...
 
 
 def _frame_chunk(
-    spec: SweepSpec, const: Constellation, h: np.ndarray, task: tuple[float, range]
-) -> tuple[int, int]:
-    """Transmit and receive the frames of a run of iterations at one SNR as
-    one (iterations x symbols, N) tensor; return (bit_errors, data_bits)."""
-    snr_db, iterations = task
+    spec: SweepSpec, const: Constellation, h: np.ndarray, task: tuple[list[float], range]
+) -> list[tuple[int, int]]:
+    """Transmit the frames of a run of iterations once, as one (iterations x symbols, N)
+    tensor, and receive them at each SNR; return (bit_errors, data_bits) per SNR."""
+    snrs, iterations = task
     cfg = spec.cfg
     n_sym = spec.symbols_per_iteration
     streams = [seeded_stream(spec.seed, i) for i in iterations]
@@ -191,9 +190,9 @@ def _frame_chunk(
     frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
     tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
 
-    # each stage writes to the workspace frame that its input is not in; the FFT reads the CP-stripped rows as a view
+    # a ends with the faded frames, read at every SNR; b with the received ones, FFT'd as a view into c
     rows, n_data = len(streams) * n_sym, smap.data_indices.size
-    a, b = workspace("chunk", (2, rows * cfg.samples_per_symbol))
+    a, b, c = workspace("chunk", (3, rows * cfg.samples_per_symbol))
     grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
     build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
 
@@ -201,15 +200,16 @@ def _frame_chunk(
     tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
     faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
     power = signal_power(tx)
-    for frame, noise in enumerate([s.child(_TAG_NOISE) for s in streams]):
-        for gap, start, stop in _read_ranges(cfg, n_sym):  # each sample keeps its stream position
-            noise.skip(gap)
-            add_awgn(faded[frame, start:stop], snr_db, power[frame], noise, out=tx[frame, start:stop])
-
-    ofdm_demodulate(tx.reshape(rows, -1), cfg, out=grid)
-    data = extract_data(equalize(grid, h, out=grid), smap, out=b[:n_data])
-    rx_bits = demap_symbols(data, const)
-    return int(np.count_nonzero(rx_bits != tx_bits)), tx_bits.size
+    rx_grid, counts = c[: rows * cfg.n_subchannels].reshape(rows, -1), []
+    for snr_db in snrs:
+        for frame, noise in enumerate([s.child(_TAG_NOISE) for s in streams]):  # as if this SNR ran alone
+            for gap, start, stop in _read_ranges(cfg, n_sym):  # each sample keeps its stream position
+                noise.skip(gap)
+                add_awgn(faded[frame, start:stop], snr_db, power[frame], noise, out=tx[frame, start:stop])
+        ofdm_demodulate(tx.reshape(rows, -1), cfg, out=rx_grid)
+        data = extract_data(equalize(rx_grid, h, out=rx_grid), smap, out=b[:n_data])
+        counts.append((int(np.count_nonzero(demap_symbols(data, const) != tx_bits)), tx_bits.size))
+    return counts
 
 
 def _helper_loop(conn, parent_end) -> None:
@@ -258,27 +258,25 @@ def _map_on_helpers(fn, batches: list[list]) -> list:
 
 
 def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoint]:
-    """One BerPoint per SNR from one map over (SNR, frame chunk) tasks, run in
-    this process or in contiguous batches on up to one helper per usable CPU."""
-    step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
-    chunks = [range(a, min(a + step, spec.iterations)) for a in range(0, spec.iterations, step)]
-    tasks = [(_check_snr(snr_db), chunk) for snr_db in snrs for chunk in chunks]  # every SNR checked before any draw
+    """One BerPoint per SNR from one map over frame chunks that each run every SNR: in this
+    process, or on up to one helper per usable CPU, each given one contiguous run of iterations."""
+    snrs = [_check_snr(snr_db) for snr_db in snrs]  # every SNR checked before any draw
     const = build_constellation(spec.cfg.mod_order)
     h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
     h[~data_bins(spec.cfg, spec.symbols_per_iteration)] = 1.0  # bins that only carry pilots are never read back
     task = functools.partial(_frame_chunk, spec, const, h)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     samples = len(snrs) * spec.iterations * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
-    workers = min(workers, cpus, len(tasks), samples // _HELPER_MIN_SAMPLES)
-    if workers <= 1:
-        counts = list(map(task, tasks))
-    else:
-        size = -(-len(tasks) // workers)
-        counts = _map_on_helpers(task, [tasks[a : a + size] for a in range(0, len(tasks), size)])
+    workers = max(1, min(workers, cpus, spec.iterations, samples // _HELPER_MIN_SAMPLES))
+    step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
+    bounds = [k * spec.iterations // workers for k in range(workers + 1)]
+    batches = [[(snrs, range(a, min(a + step, stop))) for a in range(start, stop, step)]
+               for start, stop in zip(bounds, bounds[1:])]
+    counts = _map_on_helpers(task, batches) if workers > 1 else list(map(task, batches[0]))
 
     points = []
-    for k, snr_db in enumerate(snrs):
-        errors, bits = map(sum, zip(*counts[k * len(chunks) : (k + 1) * len(chunks)]))
+    for snr_db, chunk_counts in zip(snrs, zip(*counts)):
+        errors, bits = map(sum, zip(*chunk_counts))
         ber = errors / bits if bits else 0.0
         eb_n0 = eb_n0_db_for_snr(snr_db, spec.cfg)
         points.append(

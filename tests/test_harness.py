@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import multiprocessing
@@ -33,7 +34,7 @@ from ofdmsim.harness import (
     write_csv,
 )
 from ofdmsim.modem import build_constellation, demap_symbols, map_bits
-from ofdmsim.numerics import q_function, seeded_stream
+from ofdmsim.numerics import RngStream, q_function, seeded_stream
 from ofdmsim.ofdm import (
     OfdmConfig,
     allocate_subcarriers,
@@ -156,7 +157,7 @@ _SMALL_CHUNK = 4096
 
 
 def _tasks(spec, snrs=(6.0,)):
-    """The (SNR, chunk) tasks that a run of spec over snrs makes, counted in-process."""
+    """The frame chunks, each run at every SNR, that a run of spec over snrs makes in-process."""
     with mock.patch.object(harness, "_frame_chunk", wraps=harness._frame_chunk) as chunk:
         harness._run_points(spec, list(snrs), 1)
     return chunk.call_count
@@ -209,7 +210,7 @@ def test_sweep_starts_one_pool(helpers):
     spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
     per_point = tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
     assert len(per_point) == 3
-    assert _tasks(spec, snr_grid(spec)) == 9
+    assert _tasks(spec, snr_grid(spec)) == 3
     with _cpus(2):
         pooled = run_sweep(spec, workers=100_000)
     assert len(helpers) == 2
@@ -316,7 +317,7 @@ def _chunk_killing_the_first_helper(spec, const, h, task):
 def test_helper_lost_mid_call_raises_and_drops_the_helpers(helpers, loss):
     # each loss surfaces differently on the pipe: EOFError, BrokenPipeError, ConnectionResetError
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3  # batches [t0, t1] and [t2]
+    assert _tasks(spec) == 3  # in-process; two helpers run [0, 6) and [6, 12) in chunks of 5 and 1
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -382,7 +383,7 @@ from ofdmsim.harness import SweepSpec, run_ber_point
 from ofdmsim.ofdm import OfdmConfig
 os.sched_getaffinity = lambda pid: {{0, 1}}
 harness._HELPER_MIN_SAMPLES = 1
-harness._CHUNK_SAMPLES = {_SMALL_CHUNK}  # 3 tasks
+harness._CHUNK_SAMPLES = {_SMALL_CHUNK}  # chunks of at most 5 iterations
 run_ber_point(SweepSpec(cfg=OfdmConfig(n_subchannels=64), iterations=12), 6.0, workers=2)
 print(*[proc.pid for proc, _ in harness._helpers[os.getpid()][1]], flush=True)
 if sys.argv[1] == "wait":
@@ -440,7 +441,7 @@ _SNRS = [0.0, 4.0, 9.0, math.inf]
     workers=st.sampled_from([2, 3]),
     in_process_rule=st.booleans(),
 )
-# one task; fewer tasks than workers; in-process by the rule; on helpers by the rule
+# one iteration; fewer iterations than workers; in-process by the rule; on helpers by the rule
 @example(n=8, pattern="comb", iterations=1, snr_ids=[0], per_chunk=1, workers=2, in_process_rule=False)
 @example(n=64, pattern="comb", iterations=2, snr_ids=[1], per_chunk=1, workers=3, in_process_rule=False)
 @example(n=16, pattern="random", iterations=9, snr_ids=[0, 3], per_chunk=2, workers=3, in_process_rule=True)
@@ -448,7 +449,7 @@ _SNRS = [0.0, 4.0, 9.0, math.inf]
 def test_pooled_points_equal_one_worker_points(
     n, pattern, iterations, snr_ids, per_chunk, workers, in_process_rule
 ):
-    # a few iterations per chunk put the batch boundaries inside and across SNRs;
+    # a few iterations per chunk leave a short chunk at the end of a helper's run;
     # the in-process rule is either left as it is or switched off
     spec = _spec(n=n, pattern=pattern, pilots=None if pattern == "block" else n // 8, iterations=iterations)
     snrs = [_SNRS[k] for k in snr_ids]
@@ -460,14 +461,106 @@ def test_pooled_points_equal_one_worker_points(
             assert harness._run_points(spec, snrs, workers) == seq
 
 
-def test_sweep_splits_chunk_counts_by_snr():
-    # 2 iterations per chunk: 5 iterations make chunks of 2, 2 and 1 at each SNR
+def test_sweep_sums_each_snr_over_its_chunks():
+    # 2 iterations per chunk: 5 iterations make chunks of 2, 2 and 1, each run at every SNR
     spec = _spec(n=64, pilots=8, iterations=5, snr_stop_db=12.0, snr_step_db=4.0)
     chunk_samples = 2 * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
     with mock.patch.object(harness, "_CHUNK_SAMPLES", chunk_samples):
         points = run_sweep(spec).points
     assert len(points) == 4
     assert points == tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
+
+
+_SWEEP_SNRS = [0.0, 4.0, 9.0, 20.0, math.inf]
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A spec with echoes inside and past the prefix, an SNR list that may repeat, and chunks of 1-3 iterations."""
+    n = 1 << draw(st.integers(3, 8))
+    pattern = draw(st.sampled_from(["block", "comb", "random"]))
+    cfg = OfdmConfig(
+        n_subchannels=n,
+        pilot_pattern=pattern,
+        pilot_count=None if pattern == "block" else draw(st.integers(0, n // 4)),
+        mod_order=draw(st.sampled_from([4, 8, 16])),
+    )
+    # a unit main tap plus echoes of total gain below 1 has no spectral null
+    inside, beyond = st.integers(1, max(1, cfg.cp_len)), st.integers(cfg.cp_len + 1, 2 * cfg.samples_per_symbol)
+    delays = draw(st.lists(st.one_of(inside, beyond), max_size=2, unique=True))
+    taps = ((1.0, 0),) + tuple((draw(st.complex_numbers(max_magnitude=0.4)), d) for d in delays)
+    spec = SweepSpec(
+        cfg=cfg,
+        iterations=draw(st.integers(1, 9)),
+        symbols_per_iteration=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        channel=ChannelModel(taps),
+    )
+    return spec, draw(st.lists(st.sampled_from(_SWEEP_SNRS), min_size=1, max_size=5)), draw(st.integers(1, 3))
+
+
+# block pilots leave all-pilot rows and prefixes unwritten between SNRs; a repeated noisy SNR must draw the same
+# noise again, and a noiseless SNR after a noisy one must receive the faded frames untouched
+_BLOCK_SWEEP = SweepSpec(cfg=OfdmConfig(n_subchannels=16, pilot_pattern="block"), iterations=5,
+                         channel=ChannelModel(((1.0, 0), (0.3j, 2))))
+_COMB_SWEEP = SweepSpec(cfg=OfdmConfig(n_subchannels=256, mod_order=16), iterations=4,
+                        channel=ChannelModel(((1.0, 0), (0.2 - 0.1j, 40))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_sweep_cases(), workers=st.sampled_from([1, 2]))
+@example(case=(_BLOCK_SWEEP, [math.inf, 0.0, math.inf, 0.0], 2), workers=2)
+@example(case=(_COMB_SWEEP, [4.0, 4.0, math.inf], 3), workers=1)
+def test_sweep_equals_its_per_snr_points(case, workers):
+    spec, snrs, per_chunk = case
+    chunk_samples = per_chunk * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
+    with mock.patch.object(harness, "_CHUNK_SAMPLES", chunk_samples), _cpus(2), \
+            mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1):
+        assert harness._run_points(spec, snrs, workers) == [run_ber_point(spec, snr) for snr in snrs]
+
+
+def test_sweep_transmits_once_per_chunk():
+    # only receiving depends on the SNR: a 3-SNR sweep sends its 3 chunks as often as a one-SNR point
+    spec = _spec(n=64, pilots=8, iterations=12)
+    once = ("allocate_subcarriers", "ofdm_modulate", "apply_multipath", "signal_power")
+    per_snr = ("ofdm_demodulate", "demap_symbols")
+
+    def calls(snrs):
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(harness, "_CHUNK_SAMPLES", _SMALL_CHUNK))
+            spies = {name: stack.enter_context(mock.patch.object(harness, name, wraps=getattr(harness, name)))
+                     for name in once + per_snr}
+            spies["bits"] = stack.enter_context(
+                mock.patch.object(RngStream, "bits", autospec=True, side_effect=RngStream.bits))
+            harness._run_points(spec, snrs, 1)
+        return {name: spy.call_count for name, spy in spies.items()}
+
+    point, sweep = calls([6.0]), calls([0.0, 6.0, math.inf])
+    assert point["allocate_subcarriers"] == 3 and point["bits"] == 12
+    assert {name: sweep[name] for name in once + ("bits",)} == {name: point[name] for name in once + ("bits",)}
+    assert {name: sweep[name] for name in per_snr} == {name: 3 * point[name] for name in per_snr}
+
+
+def test_helpers_get_equal_runs_of_iterations():
+    # N = 64 chunks hold 45 iterations; two helpers each get 100 of the 200, not 135 and 65 in whole chunks
+    spec = _spec(n=64, pilots=8, iterations=200)
+    seq = run_ber_point(spec, 6.0)
+    with _cpus(2), mock.patch.object(harness, "_map_on_helpers", wraps=harness._map_on_helpers) as on_helpers:
+        assert run_ber_point(spec, 6.0, workers=2) == seq
+    _, batches = on_helpers.call_args.args
+    runs = [[chunk for _, chunk in batch] for batch in batches]
+    assert [sum(map(len, run)) for run in runs] == [100, 100]
+    assert [i for run in runs for chunk in run for i in chunk] == list(range(200))
+
+
+def test_fewer_iterations_than_workers_start_one_helper_each(helpers):
+    # one iteration runs in this process; two run on two of the four helpers asked for
+    one, two = (_spec(n=64, pilots=8, iterations=iterations) for iterations in (1, 2))
+    with _cpus(4):
+        assert run_ber_point(one, 6.0, workers=4) == run_ber_point(one, 6.0)
+        assert helpers == []
+        assert run_ber_point(two, 6.0, workers=4) == run_ber_point(two, 6.0)
+    assert len(helpers) == 2
 
 
 def test_order_dominance_at_fixed_snr():
