@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfiguration, NonPositiveRefPower
-from .numerics import BLOCK, RngStream
+from .numerics import RngStream, box_muller
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,24 @@ def signal_power(x) -> np.ndarray | float:
     return np.mean(np.abs(xv) ** 2, axis=-1)
 
 
-def add_awgn(x, snr_db: float, ref_power: float, rng: RngStream, *, out=None) -> np.ndarray:
+def add_awgn(x, snr_db: float, ref_power, noise: RngStream | np.ndarray, *, out=None) -> np.ndarray:
     """Add complex white Gaussian noise at the commanded SNR.
 
-    Per-sample noise variance is ref_power / 10^(snr_db/10), split equally
-    between real and imaginary parts. snr_db = +inf is the zero-noise flag.
+    Per-sample noise variance is ref_power (one value, or one per row) / 10^(snr_db/10), split
+    equally between re and im. noise holds x's unit Gaussians re + j im, or is a stream whose next
+    uniform pairs make them, in C order. out must not overlap x. snr_db = +inf is the zero-noise flag.
     """
-    if not ref_power > 0:
+    if not np.all(np.asarray(ref_power) > 0):
         raise NonPositiveRefPower(f"reference power must be > 0, got {ref_power}")
     xv = np.asarray(x, dtype=np.complex128)
-    out = np.positive(xv, out=out, order="C")  # a copy of x, into out when one is given
     if math.isinf(snr_db) and snr_db > 0:
-        return out
-    noise_power = ref_power * 10.0 ** (-snr_db / 10.0)
-    sigma = math.sqrt(noise_power / 2.0)
-    for a in range(0, xv.size, BLOCK):  # the same draws, in order, as one call
-        re, im = rng.gaussian_pairs(min(BLOCK, xv.size - a))
-        out.reshape(xv.size, copy=False)[a : a + re.size] += sigma * (re + 1j * im)  # raises if not a view
-    return out
+        return np.positive(xv, out=out, order="C")  # a copy of x, into out when one is given
+    out = np.empty(xv.shape, dtype=np.complex128) if out is None else out
+    if isinstance(noise, RngStream):  # drawn into out; reshape raises if out is not one block
+        box_muller(noise.uniforms(2 * xv.size, out=out.reshape(-1, copy=False).view(np.float64)))
+        noise = out
+    sigma = np.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+    return np.add(np.multiply(noise, sigma, out=out), xv, out=out)
 
 
 def read_lines(path) -> list[tuple[int, str]]:

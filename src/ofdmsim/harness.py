@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from .errors import InvalidConfiguration, OfdmSimError, SingularChannelGain
 from .modem import Constellation, _write_lines, build_constellation, demap_symbols, map_bits
-from .numerics import BLOCK, q_function, seeded_stream, workspace
+from .numerics import BLOCK, box_muller, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
     _fixed_pilots,
@@ -45,11 +45,11 @@ _TAG_BITS = 1
 _TAG_NOISE = 2
 _TAG_ALLOC = 3
 
-# Iterations run in chunks of about this many time samples, each chunk one frame tensor that is sent
-# once and received at every SNR, so every stage, and each chunk's set-up, costs one call per chunk:
-# 45 iterations at N = 64 with 10 symbols, 11 at N = 256, one from N = 2048 up (the sizes measured
-# are in BENCH_8.json). Below 46 080 samples an N = 4096 chunk stays one iteration. For its last chunk
-# shape each thread keeps three frame tensors (2 211 840 B at N = 4096, cp 512, 10 symbols).
+# Iterations run in chunks of about this many time samples. A chunk is one frame tensor, sent and given its unit
+# noise once, then received at every SNR, so every stage and the chunk's set-up cost one call per chunk: 45
+# iterations at N = 64 with 10 symbols, 11 at N = 256, one from N = 2048 up (BENCH_8.json). Below 46 080 samples
+# an N = 4096 chunk stays one iteration. For its last chunk shape each thread keeps three frame tensors and the
+# unit noise (2 211 840 + 655 360 B at N = 4096, cp 512, 10 comb symbols).
 _CHUNK_SAMPLES = 32_768
 
 # Helper processes of each pid: a lock and its (process, pipe end) pairs. A
@@ -180,8 +180,8 @@ def _read_ranges(cfg: OfdmConfig, n_sym: int) -> tuple[tuple[int, int, int], ...
 def _frame_chunk(
     spec: SweepSpec, const: Constellation, h: np.ndarray, task: tuple[list[float], range]
 ) -> list[tuple[int, int]]:
-    """Transmit the frames of a run of iterations once, as one (iterations x symbols, N)
-    tensor, and receive them at each SNR; return (bit_errors, data_bits) per SNR."""
+    """Transmit the frames of a run of iterations once, as one (iterations x symbols, N) tensor,
+    draw their unit noise once, and receive them at each SNR; return (bit_errors, data_bits) per SNR."""
     snrs, iterations = task
     cfg = spec.cfg
     n_sym = spec.symbols_per_iteration
@@ -196,16 +196,24 @@ def _frame_chunk(
     grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
     build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
 
-    # one row per frame: each starts from silence and draws its own noise where the receiver reads it
+    # one row per frame, from silence. Its unit noise is drawn once, only where the receiver reads it, each sample
+    # at its own stream position, and every SNR scales that same noise. At +inf alone none is read or drawn
     tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
     faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
-    power = signal_power(tx)
+    power = signal_power(tx)[:, None]
+    spans = _read_ranges(cfg, n_sym)
+    cols = np.cumsum([0, *(stop - start for _, start, stop in spans)]).tolist()  # each span's place in unit
+    unit = workspace("noise", (len(streams), cols[-1]))
+    if any(snr_db < math.inf for snr_db in snrs):
+        for noise, row in zip([s.child(_TAG_NOISE) for s in streams], unit):
+            for (gap, _, _), p, q in zip(spans, cols, cols[1:]):
+                noise.skip(gap)
+                noise.uniforms(2 * (q - p), out=row[p:q].view(np.float64))
+        box_muller(unit.view(np.float64))
     rx_grid, counts = c[: rows * cfg.n_subchannels].reshape(rows, -1), []
     for snr_db in snrs:
-        for frame, noise in enumerate([s.child(_TAG_NOISE) for s in streams]):  # as if this SNR ran alone
-            for gap, start, stop in _read_ranges(cfg, n_sym):  # each sample keeps its stream position
-                noise.skip(gap)
-                add_awgn(faded[frame, start:stop], snr_db, power[frame], noise, out=tx[frame, start:stop])
+        for (_, start, stop), p, q in zip(spans, cols, cols[1:]):
+            add_awgn(faded[:, start:stop], snr_db, power, unit[:, p:q], out=tx[:, start:stop])
         ofdm_demodulate(tx.reshape(rows, -1), cfg, out=rx_grid)
         data = extract_data(equalize(rx_grid, h, out=rx_grid), smap, out=b[:n_data])
         counts.append((int(np.count_nonzero(demap_symbols(data, const) != tx_bits)), tx_bits.size))

@@ -4,8 +4,8 @@ A stream is a Philox key, (seed, stream_id), plus a position: the count of
 uniforms it has drawn. Philox is counter-based, so each thread keeps one
 generator next to its workspace arrays and sets it to a stream's key and
 position before each draw; a stream costs nothing to make and reproduces
-independent of scheduling. A bit costs one uniform, a Box-Muller Gaussian
-pair exactly two, and skip(n) moves the position past n uniforms undrawn.
+independent of scheduling. A bit costs one uniform, a Gaussian pair exactly two
+(box_muller turns them in place, where drawn), and skip(n) moves past n undrawn.
 """
 
 from __future__ import annotations
@@ -112,11 +112,18 @@ class RngStream:
 
     def gaussian_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n independent standard-normal pairs via Box-Muller (2 uniforms each)."""
-        u = self._gen().random(2 * n)
+        u = box_muller(self._gen().random(2 * n))
         self._pos += u.size
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = (2.0 * np.pi) * u[1::2]
-        return r * np.cos(theta), r * np.sin(theta)
+        return u[0::2], u[1::2]
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Box-Muller in place: each pair (u0, u1) of the contiguous uniforms u becomes the Gaussians
+    re, im = r cos(2 pi u1), r sin(2 pi u1), r = sqrt(-2 log1p(-u0)); a complex view reads re + j im."""
+    for p in np.split(u.reshape(-1, 2, copy=False), range(BLOCK, u.size // 2, BLOCK)):  # small temporaries
+        r, theta = np.sqrt(-2.0 * np.log1p(-p[:, 0])), (2.0 * np.pi) * p[:, 1]
+        p[:, 0], p[:, 1] = r * np.cos(theta), r * np.sin(theta)
+    return u
 
 
 def children(streams: Sequence[RngStream], tag: int, indices: range) -> list[RngStream]:

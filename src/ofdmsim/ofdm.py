@@ -153,8 +153,10 @@ def allocate_subcarriers(
         u = np.empty((len(streams) * len(symbols), n))  # frame-major, as the grid
         for row_stream, row in zip(children(streams, _TAG_INDICES, symbols), u):
             row_stream.uniforms(n, out=row)
-        is_pilot = np.zeros(u.shape, dtype=bool)
-        np.put_along_axis(is_pilot, np.argsort(u, axis=1, kind="stable")[:, :count], True, axis=1)
+        # the count lowest of each row, ties to the lower index as in a stable argsort
+        kth = np.partition(u, count - 1, axis=1)[:, count - 1 : count]
+        below, tie = u < kth, u == kth
+        is_pilot = below | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= count - below.sum(axis=1, keepdims=True)))
         pilots, data = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
         per_row = [count] * len(u)
     else:
@@ -164,9 +166,7 @@ def allocate_subcarriers(
     for row_stream, c, end in zip(children(streams, _TAG_VALUES, symbols), per_row, np.cumsum(per_row).tolist()):
         if c:
             row_stream.uniforms(2 * c, out=u[2 * (end - c) : 2 * end])
-    re = np.where(u[0::2] < 0.5, 1.0, -1.0)
-    im = np.where(u[1::2] < 0.5, 1.0, -1.0)
-    values = (re + 1j * im) * _INV_SQRT2
+    values = np.where(u < 0.5, _INV_SQRT2, -_INV_SQRT2).view(np.complex128)  # (+-1 +-1j) / sqrt(2)
     return SubcarrierMap(pilot_indices=pilots, data_indices=data, pilot_values=values)
 
 

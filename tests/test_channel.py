@@ -11,7 +11,7 @@ from ofdmsim.channel import (
     signal_power,
 )
 from ofdmsim.errors import EmptyInput, InvalidConfiguration, NonPositiveRefPower
-from ofdmsim.numerics import seeded_stream
+from ofdmsim.numerics import box_muller, seeded_stream
 
 
 def brute_force_fir(x, taps):
@@ -153,6 +153,8 @@ def test_awgn_calibration_within_tenth_db(snr_db):
 def test_awgn_rejects_bad_ref_power():
     with pytest.raises(NonPositiveRefPower):
         add_awgn(np.ones(4, dtype=complex), 10.0, 0.0, seeded_stream(1, 0))
+    with pytest.raises(NonPositiveRefPower):  # one bad row of per-row powers
+        add_awgn(np.ones((2, 4), dtype=complex), 10.0, np.array([[1.0], [np.nan]]), seeded_stream(1, 0))
 
 
 @pytest.mark.parametrize("snr_db", [3.0, math.inf])
@@ -193,3 +195,26 @@ def test_load_channel_profile_rejects_garbage(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(InvalidConfiguration):
         load_channel_profile(empty)
+
+
+def _unit_noise(stream, shape):
+    """The unit Gaussians add_awgn draws from stream for an x of this shape."""
+    return box_muller(stream.uniforms(2 * math.prod(shape))).view(np.complex128).reshape(shape)
+
+
+@pytest.mark.parametrize("snr_db", [-3.0, 7.5, math.inf])
+@pytest.mark.parametrize("shape, ref_power", [((11,), 0.8), ((3, 9), np.array([[0.5], [1.0], [3e-6]]))])
+def test_awgn_from_a_stream_equals_awgn_from_its_unit_noise(snr_db, shape, ref_power):
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stream = seeded_stream(8, 1)
+    drawn = add_awgn(x, snr_db, ref_power, stream)
+    given = add_awgn(x, snr_db, ref_power, _unit_noise(seeded_stream(8, 1), shape))
+    assert np.array_equal(drawn.view(np.uint64), given.view(np.uint64))
+    if math.isinf(snr_db):  # the zero-noise flag copies x and draws nothing
+        assert np.array_equal(drawn, x)
+        assert np.array_equal(stream.uniforms(4), seeded_stream(8, 1).uniforms(4))
+    else:  # row r is scaled by its own power
+        rows = np.atleast_2d(drawn - x) / np.sqrt(np.reshape(ref_power, (-1, 1)) * 10 ** (-snr_db / 10) / 2)
+        assert np.allclose(rows.reshape(shape), _unit_noise(seeded_stream(8, 1), shape))
+

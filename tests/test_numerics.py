@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmsim import ofdm
-from ofdmsim.numerics import BLOCK, RngStream, children, q_function, seeded_stream, workspace
+from ofdmsim.numerics import BLOCK, RngStream, box_muller, children, q_function, seeded_stream, workspace
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,6 +86,22 @@ def test_gaussian_pair_matches_vector_draws():
     singles = [rng.gaussian_pairs(1) for _ in range(3)]
     assert np.allclose([s[0][0] for s in singles], ref_re)
     assert np.allclose([s[1][0] for s in singles], ref_im)
+
+
+def test_gaussian_pairs_keep_their_exact_values():
+    # r cos(theta), r sin(theta) with r = sqrt(-2 log1p(-u0)), theta = 2 pi u1: a reordered formula moves the last bits
+    re, im = seeded_stream(9, 3).gaussian_pairs(3)
+    assert [x.hex() for x in re.tolist()] == ["-0x1.1e7bca0a21fbfp-4", "-0x1.b7b58dd0329dap+0", "0x1.4861c608428ccp+0"]
+    assert [x.hex() for x in im.tolist()] == ["0x1.43c2e2634d214p+0", "-0x1.31b3b404e1317p-1", "-0x1.92e77d2d4c197p-3"]
+
+
+@pytest.mark.parametrize("pairs", [1, 3, BLOCK, BLOCK + 5, 2 * BLOCK])
+def test_box_muller_in_place_matches_gaussian_pairs(pairs):
+    # in blocks of BLOCK pairs, on any C-contiguous shape, bit for bit the pairs of one stream draw
+    u = seeded_stream(2, pairs).uniforms(2 * pairs).reshape(pairs, 2)
+    assert box_muller(u) is u
+    re, im = seeded_stream(2, pairs).gaussian_pairs(pairs)
+    assert np.array_equal(u.view(np.uint64), np.column_stack([re, im]).view(np.uint64))
 
 
 def test_child_streams_deterministic_and_independent():

@@ -1,8 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ofdmsim import ofdm
 
 from ofdmsim.channel import ChannelModel, apply_multipath
 from ofdmsim.errors import (
@@ -91,6 +96,37 @@ def test_random_allocation_deterministic_per_symbol():
     assert not np.array_equal(a.pilot_indices, c.pilot_indices)
     assert a.pilot_indices.size == 16
     assert np.all(np.diff(a.pilot_indices) > 0)
+
+
+class _GivenRow:
+    """A row stream whose uniforms are given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def uniforms(self, n, out):
+        out[:] = self.values
+        return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from([2, 4, 8, 16, 64]), rows=st.integers(1, 5), levels=st.integers(1, 4))
+def test_random_pilots_are_the_first_columns_of_a_stable_argsort(data, n, rows, levels):
+    # uniforms on a few levels tie often: the tied values at the threshold go to the lowest indices
+    count = data.draw(st.integers(1, n - 1), label="count")
+    row = st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)
+    u = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows), label="u")) / levels
+    real_children = ofdm.children
+
+    def given_index_rows(streams, tag, symbols):
+        return [_GivenRow(r) for r in u] if tag == ofdm._TAG_INDICES else real_children(streams, tag, symbols)
+
+    cfg = OfdmConfig(n_subchannels=n, pilot_pattern="random", pilot_count=count)
+    with mock.patch.object(ofdm, "children", given_index_rows):
+        smap = allocate_subcarriers(cfg, range(1), [seeded_stream(1, i) for i in range(rows)])
+    picked = np.argsort(u, axis=1, kind="stable")[:, :count] + n * np.arange(rows)[:, None]
+    assert np.array_equal(smap.pilot_indices, np.sort(picked.ravel()))
+    assert np.array_equal(np.sort(np.concatenate([smap.pilot_indices, smap.data_indices])), np.arange(rows * n))
 
 
 def test_pilot_values_are_unit_qpsk():

@@ -5,11 +5,14 @@ layers must also keep calling through those names, or a traced run reports
 zero for the layer they bypass."""
 
 import importlib.util
+import math
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from ofdmsim import OfdmConfig, SweepSpec, harness
+from ofdmsim import OfdmConfig, SweepSpec, harness, transform
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -61,3 +64,37 @@ def test_traced_random_point_draws_every_pilot_row_through_uniforms():
     read_samples = spec.iterations * (spec.symbols_per_iteration * cfg.samples_per_symbol - cfg.cp_len)
     assert tracer.counts["numerics.uniforms_drawn"] == bits + n * rows + 2 * pilots * rows + 2 * read_samples
     assert tracer.counts["ofdm.allocate_calls"] == 3  # chunks of 45, 45 and 10 iterations
+
+
+def _transform_rows(call):
+    return sum(math.prod(np.shape(c.args[0])[:-1]) for c in call.call_args_list)
+
+
+@pytest.mark.parametrize("pattern", ["block", "comb", "random"])
+def test_a_sweep_draws_and_transmits_once_and_receives_at_each_snr(pattern):
+    # one chunk of 3 iterations: its bits, pilots and unit noise are drawn and its frames
+    # sent once, whatever the SNR count; only the receive chain runs once per SNR
+    spec = SweepSpec(cfg=OfdmConfig(n_subchannels=64, pilot_pattern=pattern, mod_order=8), iterations=3)
+    work = []
+    for run in (lambda: harness.run_ber_point(spec, 6.0), lambda: harness._run_points(spec, [0.0, 6.0, 12.0], 1)):
+        with spans.Tracer(spans.point_targets()) as tracer, \
+                mock.patch.object(transform, "ifft", wraps=transform.ifft) as ifft, \
+                mock.patch.object(transform, "fft", wraps=transform.fft) as fft:
+            run()
+        work.append((tracer.counts["numerics.uniforms_drawn"], _transform_rows(ifft), _transform_rows(fft),
+                     tracer.counts["modem.demapped_symbols"]))
+    (drawn, ifft_rows, fft_rows, demapped), sweep = work
+    assert fft_rows == ifft_rows == spec.iterations * spec.symbols_per_iteration
+    assert sweep == (drawn, ifft_rows, 3 * fft_rows, 3 * demapped)
+
+
+def test_a_noiseless_point_draws_only_bits_and_pilots():
+    # at +inf alone no noise is read, so the chunk draws none
+    n, pilots, order_bits = 64, 8, 3
+    cfg = OfdmConfig(n_subchannels=n, pilot_pattern="random", pilot_count=pilots, mod_order=8)
+    spec = SweepSpec(cfg=cfg, iterations=50)
+    with spans.Tracer(spans.point_targets()) as tracer:
+        harness.run_ber_point(spec, math.inf)
+    rows = spec.iterations * spec.symbols_per_iteration
+    assert tracer.counts["numerics.uniforms_drawn"] == order_bits * (n - pilots) * rows + n * rows + 2 * pilots * rows
+    assert tracer.self_ns["channel.awgn_self_s"] > 0
