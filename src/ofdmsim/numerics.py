@@ -3,9 +3,9 @@
 A stream is a Philox key, (seed, stream_id), plus a position: the count of
 uniforms it has drawn. Philox is counter-based, so each thread keeps one
 generator next to its workspace arrays and sets it to a stream's key and
-position before each draw; a stream costs nothing to make and reproduces
-independent of scheduling. A bit costs one uniform, a Gaussian pair exactly two
-(box_muller turns them in place, where drawn), and skip(n) moves past n undrawn.
+position before each draw; a stream costs nothing to make (child_uniforms makes
+none per row) and reproduces independent of scheduling. A bit costs one uniform, a
+Gaussian pair exactly two (box_muller turns them in place), skip(n) passes n undrawn.
 """
 
 from __future__ import annotations
@@ -17,12 +17,22 @@ from typing import Sequence
 
 import numpy as np
 
+
+class _ThreadPhilox(threading.local):
+    """A thread's one generator, made on its first draw, and the one state dict each draw sets it to."""
+
+    def __init__(self):
+        self.gen, self.counter, self.key = np.random.Generator(np.random.Philox(0)), [0, 0, 0, 0], [0, 0]
+        self.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+                      "uinteger": 0, "state": {"counter": self.counter, "key": self.key}}  # the setter copies it
+
+
 _MASK64 = (1 << 64) - 1
 
 _SQRT2 = math.sqrt(2.0)
 BLOCK = 4096  # draws per pass over a long array: temporaries the heap recycles
 _scratch = threading.local()  # each thread's {owner: its workspace array}
-_philox = threading.local()  # and its one generator; a draw sets it to a stream's key and position
+_philox = _ThreadPhilox()  # and its generator; a draw sets it to a stream's key and position
 
 
 def _splitmix64(z):
@@ -63,13 +73,8 @@ class RngStream:
         self._pos = 0
 
     def _gen(self) -> np.random.Generator:
-        if not hasattr(_philox, "gen"):  # this thread's generator, set below to draw this stream's next uniform
-            _philox.gen = np.random.Generator(np.random.Philox(0))
-            _philox.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                             "has_uint32": 0, "uinteger": 0, "state": {"counter": [0, 0, 0, 0], "key": [0, 0]}}
         block, skip = divmod(self._pos, 4)  # Philox makes 4 doubles per counter step and steps before each block
-        state = _philox.state["state"]  # the setter copies it, so each draw refills the same dict
-        state["counter"][0], state["key"][:] = block, (self.seed, self.stream_id)
+        _philox.counter[0], _philox.key[:] = block, (self.seed, self.stream_id)
         _philox.gen.bit_generator.state = _philox.state
         if skip:
             _philox.gen.random(skip)
@@ -126,11 +131,19 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def children(streams: Sequence[RngStream], tag: int, indices: range) -> list[RngStream]:
-    """[s.child(tag, j) for s in streams for j in indices], with every id hashed in one array pass."""
+def child_uniforms(streams: Sequence[RngStream], tag: int, indices: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """Fill row r of out with the first uniforms of streams[r // len(indices)].child(tag, indices[r % len(indices)]):
+    every child id hashed in one array pass, no stream made, and each row only re-keys this thread's generator."""
     ids = _splitmix64(np.array([s.stream_id for s in streams], dtype=np.uint64) ^ _path_hash(tag))
     ids = _splitmix64(ids[:, None] ^ np.array([_path_hash(j) for j in indices], dtype=np.uint64))
-    return [RngStream(s.seed, sid) for s, row in zip(streams, ids.tolist()) for sid in row]
+    gen, state, key = _philox.gen, _philox.state, _philox.key
+    _philox.counter[0] = 0  # every row starts at position 0
+    for s, row_ids, rows in zip(streams, ids.tolist(), out.reshape(len(streams), len(indices), out.shape[1])):
+        for sid, row in zip(row_ids, rows):
+            key[:] = s.seed, sid
+            gen.bit_generator.state = state
+            gen.random(out=row)
+    return out
 
 
 def seeded_stream(seed: int, stream_id: int = 0) -> RngStream:

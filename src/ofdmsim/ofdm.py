@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .modem import _AXIS_BITS
-from .numerics import RngStream, children
+from .numerics import RngStream, child_uniforms
 
 PILOT_PATTERNS = ("block", "comb", "random")
 
@@ -118,12 +118,13 @@ def _fixed_layout(
     cfg: OfdmConfig, symbols: range, frames: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Pilot and data flat indices of `frames` frames of a fixed layout, and
-    the pilot count of each row."""
-    is_pilot = np.tile(_fixed_pilots(cfg, symbols), (frames, 1))
+    the symbols whose rows hold pilots."""
+    fixed = _fixed_pilots(cfg, symbols)
+    is_pilot = np.tile(fixed, (frames, 1))
     layout = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
     for a in layout:
         a.setflags(write=False)
-    return *layout, tuple(is_pilot.sum(axis=1).tolist())
+    return *layout, tuple(j for j, row in zip(symbols, fixed) if row.any())
 
 
 def data_bins(cfg: OfdmConfig, n_symbols: int) -> np.ndarray:
@@ -147,26 +148,21 @@ def allocate_subcarriers(
     Pilot values are known unit-energy QPSK points from a dedicated
     substream; the streams' own state is never consumed.
     """
-    n = cfg.n_subchannels
-    count = cfg.pilot_count
+    n, count = cfg.n_subchannels, cfg.pilot_count
     if cfg.pilot_pattern == "random" and count:
-        u = np.empty((len(streams) * len(symbols), n))  # frame-major, as the grid
-        for row_stream, row in zip(children(streams, _TAG_INDICES, symbols), u):
-            row_stream.uniforms(n, out=row)
+        u = child_uniforms(streams, _TAG_INDICES, symbols, np.empty((len(streams) * len(symbols), n)))  # frame-major
         # the count lowest of each row, ties to the lower index as in a stable argsort
         kth = np.partition(u, count - 1, axis=1)[:, count - 1 : count]
         below, tie = u < kth, u == kth
         is_pilot = below | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= count - below.sum(axis=1, keepdims=True)))
-        pilots, data = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot)
-        per_row = [count] * len(u)
+        pilots, data, held = np.flatnonzero(is_pilot), np.flatnonzero(~is_pilot), symbols
     else:
-        pilots, data, per_row = _fixed_layout(cfg, symbols, len(streams))
-    # one (re, im) sign pair per pilot from its row's value substream; rows without pilots draw nothing
-    u = np.empty(2 * pilots.size)
-    for row_stream, c, end in zip(children(streams, _TAG_VALUES, symbols), per_row, np.cumsum(per_row).tolist()):
-        if c:
-            row_stream.uniforms(2 * c, out=u[2 * (end - c) : 2 * end])
-    values = np.where(u < 0.5, _INV_SQRT2, -_INV_SQRT2).view(np.complex128)  # (+-1 +-1j) / sqrt(2)
+        pilots, data, held = _fixed_layout(cfg, symbols, len(streams))
+    # one (re, im) sign pair per pilot from its row's value substream. Only the rows of the held symbols hold
+    # pilots, the same count each: all N under block pilots, else pilot_count; the other rows draw nothing
+    per_row = n if cfg.pilot_pattern == "block" else count
+    u = child_uniforms(streams, _TAG_VALUES, held, np.empty((len(streams) * len(held), 2 * per_row)))
+    values = np.where(u < 0.5, _INV_SQRT2, -_INV_SQRT2).view(np.complex128).ravel()  # (+-1 +-1j) / sqrt(2)
     return SubcarrierMap(pilot_indices=pilots, data_indices=data, pilot_values=values)
 
 

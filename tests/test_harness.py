@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import math
 import multiprocessing
@@ -307,9 +308,10 @@ def _chunk_exiting_past_iteration_zero(spec, const, h, task):
     return _frame_chunk(spec, const, h, task)
 
 
-def _chunk_killing_the_first_helper(spec, const, h, task):
-    # runs on the second helper, which was forked after the first and so holds its pid
-    os.kill(harness._helpers[os.getppid()][1][0][0].pid, signal.SIGKILL)
+def _chunk_killing_the_first_helper(first_pid, spec, const, h, task):
+    # runs on the second helper, which is given the first one's pid: it cannot look it up in the parent's
+    # table unless it was forked from it, and forkserver and spawn helpers are not
+    os.kill(first_pid, signal.SIGKILL)
     return _frame_chunk(spec, const, h, task)
 
 
@@ -331,7 +333,8 @@ def test_helper_lost_mid_call_raises_and_drops_the_helpers(helpers, loss):
             lose = mock.patch.object(type(first), "is_alive", return_value=True)
         else:  # stopped, so its batch is still unread in the pipe when the second helper kills it
             os.kill(first.pid, signal.SIGSTOP)
-            lose = mock.patch.object(harness, "_frame_chunk", _chunk_killing_the_first_helper)
+            kill_first = functools.partial(_chunk_killing_the_first_helper, first.pid)
+            lose = mock.patch.object(harness, "_frame_chunk", kill_first)
         with lose, pytest.raises(OfdmSimError, match="helper process exited"):
             run_ber_point(spec, 6.0, workers=2)
         assert helpers == []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdmsim import ofdm
-from ofdmsim.numerics import BLOCK, RngStream, box_muller, children, q_function, seeded_stream, workspace
+from ofdmsim.numerics import BLOCK, RngStream, box_muller, child_uniforms, q_function, seeded_stream, workspace
 
 _MASK64 = (1 << 64) - 1
 
@@ -244,20 +244,56 @@ def test_stream_continued_on_another_thread_matches_the_one_shot_draw():
         _assert_same_draws(got, want)
 
 
+def _assert_rows_are_child_draws(keys, tag, indices, length):
+    streams = [RngStream(seed, sid) for seed, sid in keys]
+    out = np.full((len(streams) * len(indices), length), np.nan)
+    elsewhere = seeded_stream(32, 0)
+    elsewhere.skip(9)
+    elsewhere.uniforms(1)  # leaves this thread's generator at another key and counter
+    assert child_uniforms(streams, tag, indices, out) is out
+    for r, row in enumerate(out):
+        _assert_same_draws(row, streams[r // len(indices)].child(tag, indices[r % len(indices)]).uniforms(length))
+
+
+_ROW_KEYS = [(0, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**64 - 1, 0)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    keys=st.lists(st.tuples(_KEYS, _KEYS), max_size=4),
+    keys=st.lists(st.tuples(_KEYS, _KEYS), max_size=3),
     tag=st.sampled_from([ofdm._TAG_INDICES, ofdm._TAG_VALUES]),
-    start=st.integers(0, 50) | st.integers(0, 2**64 - 13),
-    length=st.integers(0, 12),
+    indices=st.lists(st.integers(0, 50) | st.integers(0, 2**64 - 1), max_size=4),
+    length=st.sampled_from([0, 1, 3, 64, 4097]),
 )
-@example(keys=[(3, 2**64 - 1), (3, 2**64 - 2), (2**64 - 1, 0)], tag=ofdm._TAG_VALUES, start=7, length=3)
-def test_children_keyed_in_one_pass_match_child(keys, tag, start, length):
-    streams = [RngStream(seed, sid) for seed, sid in keys]
-    symbols = range(start, start + length)
-    got = children(streams, tag, symbols)
-    want = [s.child(tag, j) for s in streams for j in symbols]
-    assert [(c.seed, c.stream_id) for c in got] == [(c.seed, c.stream_id) for c in want]
+@example(keys=_ROW_KEYS, tag=ofdm._TAG_VALUES, indices=[7, 2**64 - 1], length=3)
+@example(keys=_ROW_KEYS, tag=ofdm._TAG_INDICES, indices=[], length=64)  # zero rows
+@example(keys=[], tag=ofdm._TAG_INDICES, indices=[0, 1], length=4097)
+def test_child_uniforms_fill_each_row_as_its_child_stream(keys, tag, indices, length):
+    _assert_rows_are_child_draws(keys, tag, indices, length)
+
+
+def _on_a_new_thread(fn):
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_child_uniforms_on_a_new_thread_leave_later_stream_draws_alone():
+    # the rows set up a fresh thread's generator; a stream drawn next, from a position that is not
+    # a multiple of 4, must still read exactly what it reads on a thread that made no rows
+    def stream_at_five():
+        stream = seeded_stream(9, 2**64 - 1)
+        stream.skip(5)
+        return stream
+
+    def rows_then_a_draw():
+        _assert_rows_are_child_draws(_ROW_KEYS, ofdm._TAG_INDICES, range(2**64 - 2, 2**64), 65)
+        return stream_at_five().uniforms(7)
+
+    _assert_same_draws(_on_a_new_thread(rows_then_a_draw), _on_a_new_thread(lambda: stream_at_five().uniforms(7)))
 
 
 def test_uniforms_into_out_match_a_fresh_draw():

@@ -98,17 +98,6 @@ def test_random_allocation_deterministic_per_symbol():
     assert np.all(np.diff(a.pilot_indices) > 0)
 
 
-class _GivenRow:
-    """A row stream whose uniforms are given values."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def uniforms(self, n, out):
-        out[:] = self.values
-        return out
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.sampled_from([2, 4, 8, 16, 64]), rows=st.integers(1, 5), levels=st.integers(1, 4))
 def test_random_pilots_are_the_first_columns_of_a_stable_argsort(data, n, rows, levels):
@@ -116,13 +105,16 @@ def test_random_pilots_are_the_first_columns_of_a_stable_argsort(data, n, rows, 
     count = data.draw(st.integers(1, n - 1), label="count")
     row = st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)
     u = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows), label="u")) / levels
-    real_children = ofdm.children
+    real_child_uniforms = ofdm.child_uniforms
 
-    def given_index_rows(streams, tag, symbols):
-        return [_GivenRow(r) for r in u] if tag == ofdm._TAG_INDICES else real_children(streams, tag, symbols)
+    def given_index_rows(streams, tag, symbols, out):
+        if tag != ofdm._TAG_INDICES:
+            return real_child_uniforms(streams, tag, symbols, out)
+        out[:] = u
+        return out
 
     cfg = OfdmConfig(n_subchannels=n, pilot_pattern="random", pilot_count=count)
-    with mock.patch.object(ofdm, "children", given_index_rows):
+    with mock.patch.object(ofdm, "child_uniforms", given_index_rows):
         smap = allocate_subcarriers(cfg, range(1), [seeded_stream(1, i) for i in range(rows)])
     picked = np.argsort(u, axis=1, kind="stable")[:, :count] + n * np.arange(rows)[:, None]
     assert np.array_equal(smap.pilot_indices, np.sort(picked.ravel()))

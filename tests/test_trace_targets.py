@@ -2,7 +2,12 @@
 looks them up; every name it wraps must exist there, or a traced benchmark
 run fails with a KeyError long after the refactor that dropped it. The
 layers must also keep calling through those names, or a traced run reports
-zero for the layer they bypass."""
+zero for the layer they bypass.
+
+The allocator draws its pilot rows through numerics.child_uniforms, which
+re-keys one generator per row and calls no RngStream method; the tracer does
+not wrap it. So numerics.uniforms_drawn counts the bits and the noise, and
+the pilot rows' time lands in ofdm.allocate_s."""
 
 import importlib.util
 import math
@@ -12,7 +17,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ofdmsim import OfdmConfig, SweepSpec, harness, transform
+from ofdmsim import OfdmConfig, SweepSpec, allocate_subcarriers, harness, transform
+from ofdmsim.numerics import RngStream, seeded_stream
+from ofdmsim.ofdm import PILOT_PATTERNS
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,22 +45,20 @@ def test_traced_point_counts_every_transform_row():
 
 def test_traced_block_point_draws_noise_only_on_read_samples():
     # ten symbols at N = 4096 with block pilots: symbols 0 and 8 hold only pilots, so
-    # noise lands on the 8 data bodies and on no prefix
-    n, data_symbols, pilot_symbols = 4096, 8, 2
+    # noise lands on the 8 data bodies and on no prefix; the pilot values are not counted
+    n, data_symbols = 4096, 8
     spec = SweepSpec(cfg=OfdmConfig(n_subchannels=n, pilot_pattern="block", mod_order=16), iterations=1)
     with spans.Tracer(spans.point_targets()) as tracer:
         harness.run_ber_point(spec, 6.0)
     bits = 4 * n * data_symbols
-    pilot_values = 2 * n * pilot_symbols
     read_samples = n * data_symbols
-    assert tracer.counts["numerics.uniforms_drawn"] == bits + pilot_values + 2 * read_samples
+    assert tracer.counts["numerics.uniforms_drawn"] == bits + 2 * read_samples
     assert tracer.self_ns["channel.awgn_self_s"] > 0
 
 
-def test_traced_random_point_draws_every_pilot_row_through_uniforms():
-    # N = 64, 8 random pilots: each row draws N uniforms for its pilot indices and two per
-    # pilot for its values; N < BLOCK joins the prefixes between bodies, so noise is read
-    # from the first body to the end of the frame
+def test_traced_random_point_counts_bits_and_noise_but_no_pilot_row():
+    # N = 64, 8 random pilots: the rows' pilot indices and values are not counted; N < BLOCK
+    # joins the prefixes between bodies, so noise is read from the first body to the end of the frame
     n, pilots, order_bits = 64, 8, 3
     cfg = OfdmConfig(n_subchannels=n, pilot_pattern="random", pilot_count=pilots, mod_order=8)
     spec = SweepSpec(cfg=cfg, iterations=100)
@@ -62,7 +67,7 @@ def test_traced_random_point_draws_every_pilot_row_through_uniforms():
     rows = spec.iterations * spec.symbols_per_iteration
     bits = order_bits * (n - pilots) * rows
     read_samples = spec.iterations * (spec.symbols_per_iteration * cfg.samples_per_symbol - cfg.cp_len)
-    assert tracer.counts["numerics.uniforms_drawn"] == bits + n * rows + 2 * pilots * rows + 2 * read_samples
+    assert tracer.counts["numerics.uniforms_drawn"] == bits + 2 * read_samples
     assert tracer.counts["ofdm.allocate_calls"] == 3  # chunks of 45, 45 and 10 iterations
 
 
@@ -96,5 +101,14 @@ def test_a_noiseless_point_draws_only_bits_and_pilots():
     with spans.Tracer(spans.point_targets()) as tracer:
         harness.run_ber_point(spec, math.inf)
     rows = spec.iterations * spec.symbols_per_iteration
-    assert tracer.counts["numerics.uniforms_drawn"] == order_bits * (n - pilots) * rows + n * rows + 2 * pilots * rows
+    assert tracer.counts["numerics.uniforms_drawn"] == order_bits * (n - pilots) * rows
     assert tracer.self_ns["channel.awgn_self_s"] > 0
+
+
+@pytest.mark.parametrize("pattern", PILOT_PATTERNS)
+def test_the_allocator_makes_no_stream_per_row(pattern):
+    # the row streams are keys hashed in one pass, not RngStream objects
+    streams = [seeded_stream(3, i).child(7) for i in range(4)]
+    with mock.patch.object(RngStream, "__init__", autospec=True, side_effect=RngStream.__init__) as init:
+        smap = allocate_subcarriers(OfdmConfig(n_subchannels=64, pilot_pattern=pattern), range(10), streams)
+    assert init.call_count == 0 and smap.pilot_values.size > 0
