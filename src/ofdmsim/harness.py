@@ -14,7 +14,6 @@ snr_db - 10*log10(bits_per_symbol * n_data/N).
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import multiprocessing
 import os
@@ -25,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
 from .errors import InvalidConfiguration, OfdmSimError, SingularChannelGain
-from .modem import Constellation, _write_lines, build_constellation, demap_symbols, map_bits
+from .modem import _write_lines, build_constellation, demap_symbols, map_bits
 from .numerics import BLOCK, box_muller, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
@@ -55,8 +54,8 @@ _CHUNK_SAMPLES = 32_768
 # Helper processes of each pid: a lock and its (process, pipe end) pairs. A
 # forked child makes its own entry, so it never talks to its parent's helpers.
 _helpers: dict[int, tuple[threading.Lock, list]] = {}
-# each helper gets at least this many samples, summed over the SNRs: less did not pay back a pipe round
-# trip when each SNR sent its own frames (BENCH_6.json); it is not tied to _CHUNK_SAMPLES (BENCH_8.json)
+# each helper gets at least this many samples, summed over the SNRs: two helpers just break even on the smallest
+# default sweep this sends them (N = 256, 2 iterations; BENCH_12.json). Not tied to _CHUNK_SAMPLES (BENCH_8.json)
 _HELPER_MIN_SAMPLES = 16_384
 
 # a longer SNR grid is a typo such as a 1e-300 dB step, not a sweep
@@ -163,7 +162,6 @@ def snr_grid(spec: SweepSpec) -> list[float]:
     return [spec.snr_start_db + i * spec.snr_step_db for i in range(count)]
 
 
-@functools.lru_cache(maxsize=16)
 def _read_ranges(cfg: OfdmConfig, n_sym: int) -> tuple[tuple[int, int, int], ...]:
     """(uniforms to skip, start, stop) of each run of frame samples that reach a data bin: data symbol
     bodies, joined through the prefix between two when N < BLOCK (a draw costs more than a prefix)."""
@@ -177,80 +175,87 @@ def _read_ranges(cfg: OfdmConfig, n_sym: int) -> tuple[tuple[int, int, int], ...
     return tuple((2 * (start - end), start, stop) for (start, stop), (_, end) in zip(ranges, [(0, 0)] + ranges))
 
 
-def _frame_chunk(
-    spec: SweepSpec, const: Constellation, h: np.ndarray, task: tuple[list[float], range]
-) -> list[tuple[int, int]]:
-    """Transmit the frames of a run of iterations once, as one (iterations x symbols, N) tensor,
-    draw their unit noise once, and receive them at each SNR; return (bit_errors, data_bits) per SNR."""
-    snrs, iterations = task
+def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[tuple[int, int]]:
+    """Run iterations in chunks of about _CHUNK_SAMPLES samples. Each chunk's frames are transmitted once, as
+    one (iterations x symbols, N) tensor, given their unit noise once, and received at each SNR; return
+    (bit_errors, data_bits) per SNR, summed over the chunks."""
     cfg = spec.cfg
     n_sym = spec.symbols_per_iteration
-    streams = [seeded_stream(spec.seed, i) for i in iterations]
-    smap = allocate_subcarriers(cfg, range(n_sym), [s.child(_TAG_ALLOC) for s in streams])
-    frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
-    tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
-
-    # a ends with the faded frames, read at every SNR; b with the received ones, FFT'd as a view into c
-    rows, n_data = len(streams) * n_sym, smap.data_indices.size
-    a, b, c = workspace("chunk", (3, rows * cfg.samples_per_symbol))
-    grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
-    build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
-
-    # one row per frame, from silence. Its unit noise is drawn once, only where the receiver reads it, each sample
-    # at its own stream position, and every SNR scales that same noise. At +inf alone none is read or drawn
-    tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
-    faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
-    power = signal_power(tx)[:, None]
+    const = build_constellation(cfg.mod_order)
+    h = channel_frequency_response(spec.channel, cfg.n_subchannels)
+    h[~data_bins(cfg, n_sym)] = 1.0  # bins that only carry pilots are never read back
     spans = _read_ranges(cfg, n_sym)
     cols = np.cumsum([0, *(stop - start for _, start, stop in spans)]).tolist()  # each span's place in unit
-    unit = workspace("noise", (len(streams), cols[-1]))
-    if any(snr_db < math.inf for snr_db in snrs):
-        for noise, row in zip([s.child(_TAG_NOISE) for s in streams], unit):
-            for (gap, _, _), p, q in zip(spans, cols, cols[1:]):
-                noise.skip(gap)
-                noise.uniforms(2 * (q - p), out=row[p:q].view(np.float64))
-        box_muller(unit.view(np.float64))
-    rx_grid, counts = c[: rows * cfg.n_subchannels].reshape(rows, -1), []
-    for snr_db in snrs:
-        for (_, start, stop), p, q in zip(spans, cols, cols[1:]):
-            add_awgn(faded[:, start:stop], snr_db, power, unit[:, p:q], out=tx[:, start:stop])
-        ofdm_demodulate(tx.reshape(rows, -1), cfg, out=rx_grid)
-        data = extract_data(equalize(rx_grid, h, out=rx_grid), smap, out=b[:n_data])
-        counts.append((int(np.count_nonzero(demap_symbols(data, const) != tx_bits)), tx_bits.size))
-    return counts
+    step = max(1, _CHUNK_SAMPLES // (n_sym * cfg.samples_per_symbol))
+    errors, bits = [0] * len(snrs), 0
+    for first in range(iterations.start, iterations.stop, step):
+        streams = [seeded_stream(spec.seed, i) for i in range(first, min(first + step, iterations.stop))]
+        smap = allocate_subcarriers(cfg, range(n_sym), [s.child(_TAG_ALLOC) for s in streams])
+        frame_bits = const.bits_per_symbol * (smap.data_indices.size // len(streams))
+        tx_bits = np.concatenate([s.child(_TAG_BITS).bits(frame_bits) for s in streams])
+
+        # a ends with the faded frames, read at every SNR; b with the received ones, FFT'd as a view into c
+        rows, n_data = len(streams) * n_sym, smap.data_indices.size
+        a, b, c = workspace("chunk", (3, rows * cfg.samples_per_symbol))
+        grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
+        build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
+
+        # one row per frame, from silence. Its unit noise is drawn once, only where the receiver reads it, each
+        # sample at its own stream position, and every SNR scales that same noise. At +inf alone none is read or drawn
+        tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
+        faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
+        power = signal_power(tx)[:, None]
+        unit = workspace("noise", (len(streams), cols[-1]))
+        if any(snr_db < math.inf for snr_db in snrs):
+            for noise, row in zip([s.child(_TAG_NOISE) for s in streams], unit):
+                for (gap, _, _), p, q in zip(spans, cols, cols[1:]):
+                    noise.skip(gap)
+                    noise.uniforms(2 * (q - p), out=row[p:q].view(np.float64))
+            box_muller(unit.view(np.float64))
+        rx_grid = c[: rows * cfg.n_subchannels].reshape(rows, -1)
+        for k, snr_db in enumerate(snrs):
+            for (_, start, stop), p, q in zip(spans, cols, cols[1:]):
+                add_awgn(faded[:, start:stop], snr_db, power, unit[:, p:q], out=tx[:, start:stop])
+            ofdm_demodulate(tx.reshape(rows, -1), cfg, out=rx_grid)
+            data = extract_data(equalize(rx_grid, h, out=rx_grid), smap, out=b[:n_data])
+            errors[k] += int(np.count_nonzero(demap_symbols(data, const) != tx_bits))
+        bits += tx_bits.size
+    return [(e, bits) for e in errors]
 
 
 def _helper_loop(conn, parent_end) -> None:
-    """Send back fn over the tasks of each (fn, tasks) received, or the exception it raised.
+    """Send back fn(*args) for each (fn, args) received, or the exception it raised.
     The copies of older helpers' parent ends that a forked helper holds close when it exits."""
     parent_end.close()  # so that the pipe reads EOF, and this loop ends, once the parent is gone
     # a parent gone, or one that dropped this helper with a reply unread; Ctrl-C is the parent's to report
     with contextlib.suppress(EOFError, ConnectionError, KeyboardInterrupt):
         while True:
-            fn, tasks = conn.recv()
+            fn, args = conn.recv()
             try:
-                conn.send(list(map(fn, tasks)))
+                conn.send(fn(*args))
             except Exception as exc:
                 conn.send(exc)
 
 
-def _map_on_helpers(fn, batches: list[list]) -> list:
-    """fn over every task, one batch per helper process, results in task order. Helpers
+def _map_on_helpers(fn, calls: list[tuple]) -> list:
+    """fn(*args) for each args of calls, one call per helper process, results in call order. Helpers
     are kept for later calls and replaced if found dead; an error or interrupt drops them all."""
     lock, helpers = _helpers.setdefault(os.getpid(), (threading.Lock(), []))
     with lock:
         try:
             helpers[:] = [(proc, conn) for proc, conn in helpers if proc.is_alive()]
-            while len(helpers) < len(batches):
-                parent_end, child_end = multiprocessing.Pipe()
-                proc = multiprocessing.Process(target=_helper_loop, args=(child_end, parent_end), daemon=True)
+            # fork where there is one: a forkserver or spawn helper imports numpy afresh, 0.50 s against 0.09 s
+            ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+            while len(helpers) < len(calls):
+                parent_end, child_end = ctx.Pipe()
+                proc = ctx.Process(target=_helper_loop, args=(child_end, parent_end), daemon=True)
                 proc.start()
                 child_end.close()
                 helpers.append((proc, parent_end))
             try:
-                for (_, conn), batch in zip(helpers, batches):
-                    conn.send((fn, batch))
-                replies = [conn.recv() for _, conn in helpers[: len(batches)]]
+                for (_, conn), args in zip(helpers, calls):
+                    conn.send((fn, args))
+                replies = [conn.recv() for _, conn in helpers[: len(calls)]]
             except (EOFError, ConnectionError) as exc:  # a helper was killed mid-call
                 raise OfdmSimError(f"a helper process exited during the call ({type(exc).__name__})") from exc
             if errors := [reply for reply in replies if isinstance(reply, Exception)]:
@@ -262,29 +267,23 @@ def _map_on_helpers(fn, batches: list[list]) -> list:
                 proc.join()
             helpers.clear()
             raise
-    return [count for reply in replies for count in reply]
+    return replies
 
 
 def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoint]:
-    """One BerPoint per SNR from one map over frame chunks that each run every SNR: in this
-    process, or on up to one helper per usable CPU, each given one contiguous run of iterations."""
+    """One BerPoint per SNR from one _frame_chunk call per contiguous run of iterations, each run at
+    every SNR: in this process, or on up to one helper per usable CPU."""
     snrs = [_check_snr(snr_db) for snr_db in snrs]  # every SNR checked before any draw
-    const = build_constellation(spec.cfg.mod_order)
-    h = channel_frequency_response(spec.channel, spec.cfg.n_subchannels)
-    h[~data_bins(spec.cfg, spec.symbols_per_iteration)] = 1.0  # bins that only carry pilots are never read back
-    task = functools.partial(_frame_chunk, spec, const, h)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     samples = len(snrs) * spec.iterations * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
     workers = max(1, min(workers, cpus, spec.iterations, samples // _HELPER_MIN_SAMPLES))
-    step = max(1, _CHUNK_SAMPLES // (spec.symbols_per_iteration * spec.cfg.samples_per_symbol))
     bounds = [k * spec.iterations // workers for k in range(workers + 1)]
-    batches = [[(snrs, range(a, min(a + step, stop))) for a in range(start, stop, step)]
-               for start, stop in zip(bounds, bounds[1:])]
-    counts = _map_on_helpers(task, batches) if workers > 1 else list(map(task, batches[0]))
+    runs = [(spec, snrs, range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
+    counts = _map_on_helpers(_frame_chunk, runs) if workers > 1 else [_frame_chunk(*runs[0])]
 
     points = []
-    for snr_db, chunk_counts in zip(snrs, zip(*counts)):
-        errors, bits = map(sum, zip(*chunk_counts))
+    for snr_db, run_counts in zip(snrs, zip(*counts)):
+        errors, bits = map(sum, zip(*run_counts))
         ber = errors / bits if bits else 0.0
         eb_n0 = eb_n0_db_for_snr(snr_db, spec.cfg)
         points.append(

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import re
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from ofdmsim import harness
 from ofdmsim.cli import _build_parser, main
 from ofdmsim.errors import LengthMismatch
+from ofdmsim.harness import SweepSpec
+from ofdmsim.ofdm import OfdmConfig
 
 
 def _args(out, extra=()):
@@ -229,6 +233,34 @@ def test_memory_error_after_the_sweep_starts_is_a_failed_simulation(tmp_path, ca
     assert not out.exists()
 
 
+def _setup_peak(iterations):
+    """tracemalloc peak of a default N = 64 sweep whose first chunk fails: the set-up before the first frame."""
+    spec = SweepSpec(cfg=OfdmConfig(n_subchannels=64), iterations=iterations)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LengthMismatch):
+            harness.run_sweep(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_setup_does_not_grow_with_iterations(tmp_path, capsys):
+    # a sweep once built one task per chunk before its first frame: 39 MB at 10^7 iterations, and
+    # --iterations 10^15 allocated until the host ran out instead of exiting
+    out = tmp_path / "result.csv"
+    with mock.patch.object(harness, "allocate_subcarriers", side_effect=LengthMismatch("stub")):
+        small = _setup_peak(10**3)
+        assert _setup_peak(10**7) <= small + 64 * 1024  # first, so that a growing set-up never meets 10^15
+        start = time.perf_counter()
+        assert main(["--subchannels", "64", "--iterations", str(10**15), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ofdmsim: simulation failed: stub"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags", [("--subchannels", str(2**50)), ("--subchannels", "64", "--symbols-per-iter", str(10**15))]
 )
@@ -238,7 +270,7 @@ def test_frame_too_big_for_memory_exits_two(tmp_path, capsys, flags):
     _one_line_exit_two(capsys, main([*flags, "--out", str(out)]), out)
 
 
-def _chunk_exiting_in_a_helper(spec, const, h, task):
+def _chunk_exiting_in_a_helper(spec, snrs, iterations):
     # module level, so that a helper can unpickle it by name; never ends the test process itself
     if multiprocessing.parent_process() is None:
         raise AssertionError("ran outside a helper")

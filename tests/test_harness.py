@@ -153,22 +153,23 @@ def _cpus(count):
     return mock.patch("os.sched_getaffinity", return_value=set(range(count)), create=True)
 
 
-# the helper tests split their N = 64 points into tasks of at most 5 iterations
+# the helper tests split their N = 64 points into chunks of at most 5 iterations
 _SMALL_CHUNK = 4096
 
 
-def _tasks(spec, snrs=(6.0,)):
-    """The frame chunks, each run at every SNR, that a run of spec over snrs makes in-process."""
-    with mock.patch.object(harness, "_frame_chunk", wraps=harness._frame_chunk) as chunk:
+def _chunks(spec, snrs=(6.0,)):
+    """The frame chunks, each run at every SNR, that a run of spec over snrs makes in-process:
+    each chunk allocates its subcarriers once."""
+    with mock.patch.object(harness, "allocate_subcarriers", wraps=harness.allocate_subcarriers) as allocate:
         harness._run_points(spec, list(snrs), 1)
-    return chunk.call_count
+    return allocate.call_count
 
 
 @pytest.fixture
 def helpers():
     """This process's (process, pipe end) helper list, empty at the start;
     the in-process rule for small points is off and chunks are _SMALL_CHUNK,
-    so any point of two or more tasks runs on helpers unless the CPU cap says otherwise."""
+    so any point of two or more iterations runs on helpers unless the CPU cap says otherwise."""
     with mock.patch.object(harness, "_HELPER_MIN_SAMPLES", 1), \
             mock.patch.object(harness, "_CHUNK_SAMPLES", _SMALL_CHUNK):
         yield _drop_helpers()
@@ -181,7 +182,7 @@ def _pids(procs):
 
 def test_workers_capped_at_cpu_count(helpers, monkeypatch):
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3
+    assert _chunks(spec) == 3
     seq = run_ber_point(spec, 6.0, workers=1)
     with _cpus(2):
         capped = run_ber_point(spec, 6.0, workers=100_000)
@@ -200,7 +201,7 @@ def test_workers_capped_at_cpu_count(helpers, monkeypatch):
 def test_one_usable_cpu_starts_no_helper(helpers):
     # the host may have more CPUs than this process is allowed to run on
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3
+    assert _chunks(spec) == 3
     seq = run_ber_point(spec, 6.0, workers=1)
     with _cpus(1), mock.patch("os.cpu_count", return_value=64):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -211,7 +212,7 @@ def test_sweep_starts_one_pool(helpers):
     spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
     per_point = tuple(run_ber_point(spec, snr) for snr in snr_grid(spec))
     assert len(per_point) == 3
-    assert _tasks(spec, snr_grid(spec)) == 3
+    assert _chunks(spec, snr_grid(spec)) == 3
     with _cpus(2):
         pooled = run_sweep(spec, workers=100_000)
     assert len(helpers) == 2
@@ -220,7 +221,7 @@ def test_sweep_starts_one_pool(helpers):
 
 def test_helpers_start_once_across_points_and_a_sweep(helpers):
     spec = _spec(n=64, pilots=8, iterations=12, snr_stop_db=8.0, snr_step_db=4.0)
-    assert _tasks(spec) == 3
+    assert _chunks(spec) == 3
     seen = []
     with _cpus(2):
         for snr in (0.0, 4.0, 8.0):
@@ -234,7 +235,7 @@ def test_helpers_start_once_across_points_and_a_sweep(helpers):
 
 def test_killed_helper_is_replaced_before_the_next_point(helpers):
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3
+    assert _chunks(spec) == 3
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -252,7 +253,7 @@ def test_threads_sharing_the_helpers_match_sequential_runs(helpers):
     # more helpers than cores, four threads taking turns on them, and a short
     # switch interval: a reply read by the wrong thread changes its counts
     specs = [_spec(n=64, pilots=8, iterations=12, seed=seed) for seed in range(4)]
-    assert _tasks(specs[0]) == 3
+    assert _chunks(specs[0]) == 3
     expected = [run_ber_point(spec, 6.0) for spec in specs]
     results = [None] * len(specs)
 
@@ -278,16 +279,16 @@ def test_threads_sharing_the_helpers_match_sequential_runs(helpers):
 _frame_chunk = harness._frame_chunk
 
 
-def _chunk_failing_past_iteration_zero(spec, const, h, task):
+def _chunk_failing_past_iteration_zero(spec, snrs, iterations):
     # module level, so that a helper can unpickle it by name
-    if task[1].start > 0:
+    if iterations.start > 0:
         raise ZeroDivisionError("raised in a helper")
-    return _frame_chunk(spec, const, h, task)
+    return _frame_chunk(spec, snrs, iterations)
 
 
 def test_task_error_in_a_helper_reraises_and_drops_the_helpers(helpers):
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3
+    assert _chunks(spec) == 3
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -301,25 +302,25 @@ def test_task_error_in_a_helper_reraises_and_drops_the_helpers(helpers):
     assert not set(before) & set(_pids(helpers))
 
 
-def _chunk_exiting_past_iteration_zero(spec, const, h, task):
+def _chunk_exiting_past_iteration_zero(spec, snrs, iterations):
     # a helper ended mid-task, as by kill -9 or the OOM killer; never the test process itself
-    if task[1].start > 0 and multiprocessing.parent_process() is not None:
+    if iterations.start > 0 and multiprocessing.parent_process() is not None:
         os._exit(1)
-    return _frame_chunk(spec, const, h, task)
+    return _frame_chunk(spec, snrs, iterations)
 
 
-def _chunk_killing_the_first_helper(first_pid, spec, const, h, task):
+def _chunk_killing_the_first_helper(first_pid, spec, snrs, iterations):
     # runs on the second helper, which is given the first one's pid: it cannot look it up in the parent's
     # table unless it was forked from it, and forkserver and spawn helpers are not
     os.kill(first_pid, signal.SIGKILL)
-    return _frame_chunk(spec, const, h, task)
+    return _frame_chunk(spec, snrs, iterations)
 
 
 @pytest.mark.parametrize("loss", ["exit-mid-task", "dead-before-send", "killed-before-read"])
 def test_helper_lost_mid_call_raises_and_drops_the_helpers(helpers, loss):
     # each loss surfaces differently on the pipe: EOFError, BrokenPipeError, ConnectionResetError
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3  # in-process; two helpers run [0, 6) and [6, 12) in chunks of 5 and 1
+    assert _chunks(spec) == 3  # in-process; two helpers run [0, 6) and [6, 12) in chunks of 5 and 1
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -331,7 +332,7 @@ def test_helper_lost_mid_call_raises_and_drops_the_helpers(helpers, loss):
             os.kill(first.pid, signal.SIGKILL)
             first.join(timeout=5)
             lose = mock.patch.object(type(first), "is_alive", return_value=True)
-        else:  # stopped, so its batch is still unread in the pipe when the second helper kills it
+        else:  # stopped, so its call is still unread in the pipe when the second helper kills it
             os.kill(first.pid, signal.SIGSTOP)
             kill_first = functools.partial(_chunk_killing_the_first_helper, first.pid)
             lose = mock.patch.object(harness, "_frame_chunk", kill_first)
@@ -359,7 +360,7 @@ def _child_point(spec, conn):
 
 def test_forked_child_starts_its_own_helpers(helpers):
     spec = _spec(n=64, pilots=8, iterations=12)
-    assert _tasks(spec) == 3
+    assert _chunks(spec) == 3
     seq = run_ber_point(spec, 6.0)
     with _cpus(2):
         assert run_ber_point(spec, 6.0, workers=2) == seq
@@ -550,10 +551,8 @@ def test_helpers_get_equal_runs_of_iterations():
     seq = run_ber_point(spec, 6.0)
     with _cpus(2), mock.patch.object(harness, "_map_on_helpers", wraps=harness._map_on_helpers) as on_helpers:
         assert run_ber_point(spec, 6.0, workers=2) == seq
-    _, batches = on_helpers.call_args.args
-    runs = [[chunk for _, chunk in batch] for batch in batches]
-    assert [sum(map(len, run)) for run in runs] == [100, 100]
-    assert [i for run in runs for chunk in run for i in chunk] == list(range(200))
+    _, runs = on_helpers.call_args.args
+    assert [iterations for _, _, iterations in runs] == [range(0, 100), range(100, 200)]
 
 
 def test_fewer_iterations_than_workers_start_one_helper_each(helpers):
@@ -793,7 +792,7 @@ def test_default_chunks_match_oracle_past_a_chunk_boundary():
     channel = ChannelModel(((1.0, 0), (0.3 - 0.1j, 9)))  # echo later than the 8-sample frame
     spec = SweepSpec(cfg=cfg, iterations=harness._CHUNK_SAMPLES // 8 + 1, symbols_per_iteration=1,
                      channel=channel)
-    assert _tasks(spec) == 2
+    assert _chunks(spec) == 2
     pt = run_ber_point(spec, 6.0)
     assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 6.0)
 
@@ -974,11 +973,9 @@ def test_read_ranges_follow_a_patched_block():
     spec = SweepSpec(cfg=cfg, iterations=3, channel=ChannelModel(((1.0, 0), (0.3j, 5))))
     calls = []
     for block in (harness.BLOCK, 32, harness.BLOCK):
-        harness._read_ranges.cache_clear()  # the ranges are cached per (cfg, n_sym), not per BLOCK
         with mock.patch.object(harness, "BLOCK", block), \
                 mock.patch.object(harness, "add_awgn", wraps=harness.add_awgn) as awgn:
             pt = run_ber_point(spec, 4.0)
-        harness._read_ranges.cache_clear()
         calls.append(awgn.call_count)
         assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 4.0)
     assert calls == [2, 8, 2]
