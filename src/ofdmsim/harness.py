@@ -4,7 +4,11 @@ Each Monte Carlo iteration transmits a frame of consecutive OFDM symbols
 through multipath + AWGN and counts data-bit errors (pilot bits never enter
 the accounting). Iteration i always uses random stream_id = i, and error
 counts reduce by integer addition, so results are identical no matter how
-iterations are scheduled across workers.
+iterations are scheduled across workers. Counts, not Gaussian bits, are the
+contract: a float change moves a count only if it moves a decision input across
+a slicer threshold. Every golden sweep's inputs keep over 1e-7 from one, and
+tests/test_golden.py asserts 1e-9, against the ~3e-15 such changes move them;
+for another seed the chance of flipping one of 1e8 decisions is below 1e-6.
 
 SNR here is average transmitted time-domain signal power over per-sample
 complex noise power; the companion Eb/N0 reported in results is

@@ -6,6 +6,8 @@ generator next to its workspace arrays and sets it to a stream's key and
 position before each draw; a stream costs nothing to make (child_uniforms makes
 none per row) and reproduces independent of scheduling. A bit costs one uniform, a
 Gaussian pair exactly two (box_muller turns them in place), skip(n) passes n undrawn.
+A bit is 1 where its raw Philox word has the top bit clear, exactly where random() < 0.5.
+box_muller reads cos and sin from a 1 024-entry table, corrected by angle addition, as close as libm.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _MASK64 = (1 << 64) - 1
 
 _SQRT2 = math.sqrt(2.0)
 BLOCK = 4096  # draws per pass over a long array: temporaries the heap recycles
+_COS, _SIN = np.cos((2.0 * np.pi / 1024) * np.arange(1024)), np.sin((2.0 * np.pi / 1024) * np.arange(1024))
 _scratch = threading.local()  # each thread's {owner: its workspace array}
 _philox = _ThreadPhilox()  # and its generator; a draw sets it to a stream's key and position
 
@@ -109,9 +112,9 @@ class RngStream:
 
     def bits(self, n: int) -> np.ndarray:
         """Next n equiprobable bits as uint8; consumes one uniform per bit."""
-        out, gen = np.empty(n, dtype=np.uint8), self._gen()
-        for a in range(0, n, BLOCK):
-            np.less(gen.random(min(BLOCK, n - a)), 0.5, out=out[a : a + BLOCK].view(np.bool_))
+        out, raw = np.empty(n, dtype=np.uint8), self._gen().bit_generator.random_raw
+        for a in range(0, n, BLOCK):  # random() < 0.5 exactly when the top bit of its raw word is clear
+            np.less(raw(min(BLOCK, n - a)), 1 << 63, out=out[a : a + BLOCK].view(np.bool_))
         self._pos += out.size
         return out
 
@@ -124,10 +127,20 @@ class RngStream:
 
 def box_muller(u: np.ndarray) -> np.ndarray:
     """Box-Muller in place: each pair (u0, u1) of the contiguous uniforms u becomes the Gaussians
-    re, im = r cos(2 pi u1), r sin(2 pi u1), r = sqrt(-2 log1p(-u0)); a complex view reads re + j im."""
+    re, im = r cos(2 pi u1), r sin(2 pi u1), r = sqrt(-2 log1p(-u0)); a complex view reads re + j im.
+
+    No libm trig: with k = int(1024 u1) in [0, 1023], 2 pi u1 = 2 pi k/1024 + b splits exactly, 0 <= b < 2 pi/1024;
+    Taylor terms to b^5 and b^6 give sin b and cos b - 1 (next terms < 1e-19), and angle addition corrects the table's
+    cos and sin of 2 pi k/1024 with them. Each output is within 1e-15 max(1, r) of exact, as np.cos and np.sin are."""
     for p in np.split(u.reshape(-1, 2, copy=False), range(BLOCK, u.size // 2, BLOCK)):  # small temporaries
-        r, theta = np.sqrt(-2.0 * np.log1p(-p[:, 0])), (2.0 * np.pi) * p[:, 1]
-        p[:, 0], p[:, 1] = r * np.cos(theta), r * np.sin(theta)
+        r, f = np.sqrt(-2.0 * np.log1p(-p[:, 0])), p[:, 1] * 1024.0  # f and f - k are exact
+        k = f.astype(np.intp)
+        b = (f - k) * (2.0 * np.pi / 1024)
+        b2 = b * b
+        sb, cb = b * (1.0 + b2 * (-1 / 6 + b2 * (1 / 120))), b2 * (-0.5 + b2 * (1 / 24 - b2 * (1 / 720)))
+        ca, sa = _COS.take(k), _SIN.take(k)
+        np.multiply(r, ca + (ca * cb - sa * sb), out=p[:, 0])
+        np.multiply(r, sa + (sa * cb + ca * sb), out=p[:, 1])
     return u
 
 

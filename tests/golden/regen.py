@@ -5,14 +5,25 @@ write_csv bytes with <name>.csv in this directory. Regenerate only when a
 change is meant to alter results, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+That also rewrites margins.json: each case's smallest decision margin, the
+distance of the decision input nearest to a slicer threshold. A float change
+that moves no decision input by that much cannot change a count, so the CSV
+bytes hold under it. `regen.py --margins` rewrites and prints only those.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import sys
 from pathlib import Path
+from unittest import mock
 
-from ofdmsim import ChannelModel, OfdmConfig, SweepSpec, run_sweep, write_csv
+import numpy as np
+
+from ofdmsim import ChannelModel, OfdmConfig, SweepSpec, harness, run_sweep, write_csv
+from ofdmsim.modem import _slicer_tables
 
 HERE = Path(__file__).resolve().parent
 
@@ -35,8 +46,8 @@ def _case(n, pattern, order, iterations, taps=((1.0, 0),), workers=1):
     return spec, workers
 
 
-# N = 64 runs 7 iterations, more than one frame-tensor chunk and not a
-# multiple of it; N = 4096 runs 2 iterations, one per chunk
+# N = 64 runs 7 iterations, all in one frame-tensor chunk (a chunk holds 45
+# there); N = 4096 runs 2 iterations, one per chunk
 CASES = {
     f"n{n}_{pattern}_q{order}": _case(n, pattern, order, 7 if n == 64 else 2)
     for n in (64, 4096)
@@ -55,10 +66,34 @@ def render(name: str) -> bytes:
     return buf.getvalue().encode()
 
 
+def margin(name: str) -> float:
+    """Smallest |x - t| over the case's decision inputs x, on each axis, and that axis's thresholds t.
+    It runs on one worker, where the spy on harness.demap_symbols sees every call; workers never change counts."""
+    seen, demap = [], harness.demap_symbols
+
+    def spy(symbols, c):
+        for x, t in zip((symbols.real, symbols.imag), _slicer_tables(c.order)[0]):
+            seen.append(np.abs(x[:, None] - t).min())
+        return demap(symbols, c)
+
+    with mock.patch.object(harness, "demap_symbols", spy):
+        run_sweep(CASES[name][0])
+    return float(min(seen))
+
+
+def write_margins() -> None:
+    margins = {name: margin(name) for name in CASES}
+    (HERE / "margins.json").write_text(json.dumps(margins, indent=1) + "\n")
+    for name, m in sorted(margins.items(), key=lambda item: item[1]):
+        print(f"{name:36} {m:.3e}")
+
+
 def main() -> None:
-    for name in CASES:
-        (HERE / f"{name}.csv").write_bytes(render(name))
-        print(f"wrote {name}.csv")
+    if "--margins" not in sys.argv[1:]:
+        for name in CASES:
+            (HERE / f"{name}.csv").write_bytes(render(name))
+            print(f"wrote {name}.csv")
+    write_margins()
 
 
 if __name__ == "__main__":

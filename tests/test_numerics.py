@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofdmsim import ofdm
+from ofdmsim import numerics, ofdm
 from ofdmsim.numerics import BLOCK, RngStream, box_muller, child_uniforms, q_function, seeded_stream, workspace
 
 _MASK64 = (1 << 64) - 1
@@ -89,10 +89,42 @@ def test_gaussian_pair_matches_vector_draws():
 
 
 def test_gaussian_pairs_keep_their_exact_values():
-    # r cos(theta), r sin(theta) with r = sqrt(-2 log1p(-u0)), theta = 2 pi u1: a reordered formula moves the last bits
+    # r = sqrt(-2 log1p(-u0)) times cos and sin of 2 pi u1 by table and angle addition: a reordering moves the last bits
     re, im = seeded_stream(9, 3).gaussian_pairs(3)
-    assert [x.hex() for x in re.tolist()] == ["-0x1.1e7bca0a21fbfp-4", "-0x1.b7b58dd0329dap+0", "0x1.4861c608428ccp+0"]
-    assert [x.hex() for x in im.tolist()] == ["0x1.43c2e2634d214p+0", "-0x1.31b3b404e1317p-1", "-0x1.92e77d2d4c197p-3"]
+    assert [x.hex() for x in re.tolist()] == ["-0x1.1e7bca0a21fc3p-4", "-0x1.b7b58dd0329d9p+0", "0x1.4861c608428ccp+0"]
+    assert [x.hex() for x in im.tolist()] == ["0x1.43c2e2634d214p+0", "-0x1.31b3b404e131cp-1", "-0x1.92e77d2d4c189p-3"]
+
+
+class _TableSpy:
+    """Stands in for a numerics trig table and keeps every index box_muller reads from it."""
+
+    def __init__(self, table, seen):
+        self.table, self.seen = table, seen
+
+    def take(self, k):
+        self.seen.append(k.copy())
+        return self.table.take(k)
+
+
+def test_box_muller_is_as_close_to_exact_as_libm(monkeypatch):
+    # the table and the libm formula both stay within 1e-15 max(1, r) of r cos(2 pi u1), r sin(2 pi u1) at 120 bits,
+    # on random pairs and on the edges of r and of the table's angle split
+    edges_u1 = [0.0, 0.25, 0.5, np.nextafter(1 / 1024, 0), np.nextafter(1 / 1024, 1), 1023 / 1024 + 2.0**-54, 1 - 2.0**-53]
+    edges = [(u0, u1) for u0 in (0.0, 1 - 2.0**-53) for u1 in edges_u1]
+    u = np.concatenate([np.array(edges).ravel(), seeded_stream(17, 4).uniforms(2 * 2000)])
+    seen = []
+    monkeypatch.setattr(numerics, "_COS", _TableSpy(numerics._COS, seen))
+    monkeypatch.setattr(numerics, "_SIN", _TableSpy(numerics._SIN, seen))
+    table = box_muller(u.copy()).reshape(-1, 2)
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[0::2])), (2.0 * np.pi) * u[1::2]
+    libm = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    assert np.all(np.isfinite(table)) and all(k.min() >= 0 and k.max() <= 1023 for k in seen)
+    with mpmath.workprec(120):
+        for (u0, u1), got_t, got_l in zip(u.reshape(-1, 2).tolist(), table.tolist(), libm.tolist()):
+            r_exact = mpmath.sqrt(-2 * mpmath.log1p(-mpmath.mpf(u0)))
+            tol = 1e-15 * max(1.0, float(r_exact))
+            for exact, t, m in zip((mpmath.cospi(2 * mpmath.mpf(u1)), mpmath.sinpi(2 * mpmath.mpf(u1))), got_t, got_l):
+                assert abs(t - r_exact * exact) <= tol and abs(m - r_exact * exact) <= tol, (u0, u1)
 
 
 @pytest.mark.parametrize("pairs", [1, 3, BLOCK, BLOCK + 5, 2 * BLOCK])
@@ -182,10 +214,8 @@ def _reference_draws(ref, method, n):
         return None
     if method == "bits":
         return (ref.random(n) < 0.5).astype(np.uint8)
-    u = ref.random(2 * n)
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = (2.0 * np.pi) * u[1::2]
-    return r * np.cos(theta), r * np.sin(theta)
+    u = box_muller(ref.random(2 * n))  # the oracle's own uniforms at these positions
+    return u[0::2], u[1::2]
 
 
 def _assert_same_draws(got, want):
