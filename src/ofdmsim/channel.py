@@ -30,6 +30,8 @@ class ChannelModel:
             d = int(delay)
             if d != delay or d < 0:
                 raise InvalidConfiguration(f"tap delay must be a non-negative integer, got {delay}")
+            if not np.isfinite(complex(gain)):
+                raise InvalidConfiguration(f"tap gain must be finite, got {gain}")
             norm.append((complex(gain), d))
         delays = [d for _, d in norm]
         if len(set(delays)) != len(delays):

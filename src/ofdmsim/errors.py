@@ -18,7 +18,7 @@ class NonPowerOfTwoLength(OfdmSimError):
 
 
 class UnsupportedOrder(InvalidConfiguration):
-    """Modulation order outside the supported set {4, 8, 16}."""
+    """Modulation order that the modem's table of constellations does not hold."""
 
 
 class LengthNotDivisible(OfdmSimError):

@@ -51,8 +51,8 @@ _TAG_ALLOC = 3
 # Iterations run in chunks of about this many time samples. A chunk is one frame tensor, sent and given its unit
 # noise once, then received at every SNR, so every stage and the chunk's set-up cost one call per chunk: 45
 # iterations at N = 64 with 10 symbols, 11 at N = 256, one from N = 2048 up (BENCH_8.json). Below 46 080 samples
-# an N = 4096 chunk stays one iteration. For its last chunk shape each thread keeps three frame tensors and the
-# unit noise (2 211 840 + 655 360 B at N = 4096, cp 512, 10 comb symbols).
+# an N = 4096 chunk stays one iteration. For the chunk shape of its last call each thread keeps three frame
+# tensors and the unit noise (2 211 840 + 655 360 B at N = 4096, cp 512, 10 comb symbols).
 _CHUNK_SAMPLES = 32_768
 
 # Helper processes of each pid: a lock and its (process, pipe end) pairs. A
@@ -191,6 +191,9 @@ def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[
     spans = _read_ranges(cfg, n_sym)
     cols = np.cumsum([0, *(stop - start for _, start, stop in spans)]).tolist()  # each span's place in unit
     step = max(1, _CHUNK_SAMPLES // (n_sym * cfg.samples_per_symbol))
+    frames = min(step, len(iterations))  # one workspace shape per call: every chunk takes leading views of it
+    chunk = workspace("chunk", (3, frames * n_sym * cfg.samples_per_symbol))
+    units = workspace("noise", (frames, cols[-1]))
     errors, bits = [0] * len(snrs), 0
     for first in range(iterations.start, iterations.stop, step):
         streams = [seeded_stream(spec.seed, i) for i in range(first, min(first + step, iterations.stop))]
@@ -200,7 +203,7 @@ def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[
 
         # a ends with the faded frames, read at every SNR; b with the received ones, FFT'd as a view into c
         rows, n_data = len(streams) * n_sym, smap.data_indices.size
-        a, b, c = workspace("chunk", (3, rows * cfg.samples_per_symbol))
+        a, b, c = chunk[:, : rows * cfg.samples_per_symbol]
         grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
         build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
 
@@ -209,7 +212,7 @@ def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[
         tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
         faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
         power = signal_power(tx)[:, None]
-        unit = workspace("noise", (len(streams), cols[-1]))
+        unit = units[: len(streams)]
         if any(snr_db < math.inf for snr_db in snrs):
             for noise, row in zip([s.child(_TAG_NOISE) for s in streams], unit):
                 for (gap, _, _), p, q in zip(spans, cols, cols[1:]):

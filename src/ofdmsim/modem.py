@@ -12,59 +12,74 @@ on an axis selects the most positive amplitude, so e.g. bits 00 map to
 (+1+1j)/sqrt(2) for order 4. Nearest-neighbor points always differ in
 exactly one label bit.
 
-Demapping slices each axis against midpoint thresholds: a rectangular Gray
-grid is two independent Gray PAM decisions, so no distance matrix or BLAS.
+Each order's constellation is built once, at import, and carries its own
+slicer: each axis's midpoint thresholds and the label bits of each grid
+position. A rectangular Gray grid is two independent Gray PAM decisions, so
+demapping needs no distance matrix or BLAS.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthNotDivisible, UnsupportedOrder
 
-# (in-phase bits, quadrature bits) per order
+# (in-phase bits, quadrature bits) per order: the one table of supported orders
 _AXIS_BITS = {4: (1, 1), 8: (2, 1), 16: (2, 2)}
 
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Immutable unit-energy constellation; points are indexed by label value."""
+    """Immutable unit-energy constellation and its slicer: points indexed by label value, each
+    axis's (I, Q) ascending thresholds, and the label bits of the point at level position
+    i_pos * n_q + q_pos."""
 
     order: int
     bits_per_symbol: int
     points: np.ndarray
+    thresholds: tuple[np.ndarray, np.ndarray]
+    label_bits: np.ndarray
 
     def bit_strings(self) -> list[str]:
         """Label bit patterns, MSB first, in label order."""
         return [format(v, f"0{self.bits_per_symbol}b") for v in range(self.order)]
 
 
-def _axis_amplitudes(n_bits: int) -> np.ndarray:
-    # descending odd levels indexed by Gray label: the v-th level carries
-    # label v ^ (v >> 1), so bit pattern 0 lands on the most positive amplitude
-    v = np.arange(1 << n_bits)
-    amp = np.empty(v.size)
-    amp[v ^ (v >> 1)] = np.arange(v.size - 1, -v.size, -2, dtype=float)
-    return amp
+def _build(order: int) -> Constellation:
+    i_bits, q_bits = _AXIS_BITS[order]
+    # each axis's ascending odd levels and their Gray labels: the v-th level from the top
+    # carries label v ^ (v >> 1), so bit pattern 0 lands on the most positive amplitude
+    axes = []
+    for n in (1 << i_bits, 1 << q_bits):
+        v = np.arange(n - 1, -1, -1)
+        axes.append((np.arange(1 - n, n, 2.0), v ^ (v >> 1)))
+    (i_levels, i_labels), (q_levels, q_labels) = axes
+    labels = (i_labels[:, None] << q_bits | q_labels).ravel()  # of the point at i_pos * n_q + q_pos
+    points = (i_levels[:, None] + 1j * q_levels).ravel()[np.argsort(labels)]
+    scale = np.sqrt(np.mean(np.abs(points) ** 2))
+    points /= scale
+    thresholds = []
+    for levels, axis_labels in axes:
+        mid = (levels[:-1] / scale + levels[1:] / scale) / 2
+        # an input on a threshold counts as below it; where the level above
+        # has the lower label, one ulp down makes the tie go up instead
+        thresholds.append(np.where(axis_labels[1:] < axis_labels[:-1], np.nextafter(mid, -np.inf), mid))
+    label_bits = (labels[:, None] >> np.arange(i_bits + q_bits - 1, -1, -1) & 1).astype(np.uint8)
+    for a in (points, *thresholds, label_bits):
+        a.setflags(write=False)
+    return Constellation(order, i_bits + q_bits, points, tuple(thresholds), label_bits)
+
+
+_CONSTELLATIONS = {order: _build(order) for order in _AXIS_BITS}
 
 
 def build_constellation(order: int) -> Constellation:
-    """Gray-labeled unit-average-energy constellation for order 4, 8 or 16."""
-    if order not in _AXIS_BITS:
-        raise UnsupportedOrder(f"modulation order must be one of 4, 8, 16; got {order}")
-    i_bits, q_bits = _AXIS_BITS[order]
-    i_amp = _axis_amplitudes(i_bits)
-    q_amp = _axis_amplitudes(q_bits)
-    labels = np.arange(order)
-    vi = labels >> q_bits
-    vq = labels & ((1 << q_bits) - 1)
-    points = i_amp[vi] + 1j * q_amp[vq]
-    points /= np.sqrt(np.mean(np.abs(points) ** 2))
-    points.setflags(write=False)
-    return Constellation(order=order, bits_per_symbol=i_bits + q_bits, points=points)
+    """The Gray-labeled unit-average-energy constellation of order 4, 8 or 16."""
+    if order not in _CONSTELLATIONS:
+        raise UnsupportedOrder(f"modulation order must be one of {tuple(_CONSTELLATIONS)}, got {order}")
+    return _CONSTELLATIONS[order]
 
 
 def map_bits(bits, c: Constellation, *, out=None) -> np.ndarray:
@@ -81,22 +96,6 @@ def map_bits(bits, c: Constellation, *, out=None) -> np.ndarray:
     return np.take(c.points, vals, out=out, mode="clip")  # labels of 0/1 bits are in range
 
 
-@functools.cache
-def _slicer_tables(order: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Ascending decision thresholds per axis (I, Q), and the label bits of
-    the point at level position i_pos * n_q + q_pos."""
-    c = build_constellation(order)
-    # labels of the grid points, row i_pos, column q_pos, levels ascending
-    grid = np.lexsort((c.points.imag, c.points.real)).reshape(-1, 1 << _AXIS_BITS[order][1])
-    thresholds = []
-    for levels, labels in ((c.points.real[grid[:, 0]], grid[:, 0]), (c.points.imag[grid[0]], grid[0])):
-        mid = (levels[:-1] + levels[1:]) / 2
-        # an input on a threshold counts as below it; where the level above
-        # has the lower label, one ulp down makes the tie go up instead
-        thresholds.append(np.where(labels[1:] < labels[:-1], np.nextafter(mid, -np.inf), mid))
-    return thresholds, np.array([list(b) for b in c.bit_strings()], dtype=np.uint8)[grid.ravel()]
-
-
 def demap_symbols(symbols, c: Constellation) -> np.ndarray:
     """Hard-decision demap: nearest point in Euclidean distance, sliced per axis.
 
@@ -105,15 +104,14 @@ def demap_symbols(symbols, c: Constellation) -> np.ndarray:
     first within each symbol.
     """
     s = np.asarray(symbols, dtype=np.complex128).ravel()
-    thresholds, bits = _slicer_tables(c.order)
     # a level position is the count of thresholds below the input; comparing
     # contiguous copies is several times faster than np.searchsorted here
     pos = np.zeros(s.size, dtype=np.uint8)
-    for x, axis_thresholds in zip((s.real.copy(), s.imag.copy()), thresholds):
+    for x, axis_thresholds in zip((s.real.copy(), s.imag.copy()), c.thresholds):
         pos *= axis_thresholds.size + 1
         for t in axis_thresholds:
             pos += x > t
-    return np.take(bits, pos, axis=0).ravel()
+    return np.take(c.label_bits, pos, axis=0).ravel()
 
 
 def write_constellation_csv(c: Constellation, sink) -> None:

@@ -18,14 +18,8 @@ import numpy as np
 
 from . import transform
 from .channel import ChannelModel
-from .errors import (
-    InvalidConfiguration,
-    LengthMismatch,
-    PilotCountExceedsN,
-    SingularChannelGain,
-    UnsupportedOrder,
-)
-from .modem import _AXIS_BITS
+from .errors import InvalidConfiguration, LengthMismatch, PilotCountExceedsN, SingularChannelGain
+from .modem import build_constellation
 from .numerics import RngStream, child_uniforms
 
 PILOT_PATTERNS = ("block", "comb", "random")
@@ -70,8 +64,7 @@ class OfdmConfig:
             raise PilotCountExceedsN(f"pilot_count {self.pilot_count} must be < {n}")
         elif self.pilot_count < 0:
             raise InvalidConfiguration(f"pilot_count must be >= 0, got {self.pilot_count}")
-        if self.mod_order not in _AXIS_BITS:
-            raise UnsupportedOrder(f"mod_order must be one of {tuple(_AXIS_BITS)}, got {self.mod_order}")
+        build_constellation(self.mod_order)  # raises UnsupportedOrder for an order with no constellation
 
     @property
     def samples_per_symbol(self) -> int:

@@ -23,7 +23,6 @@ from unittest import mock
 import numpy as np
 
 from ofdmsim import ChannelModel, OfdmConfig, SweepSpec, harness, run_sweep, write_csv
-from ofdmsim.modem import _slicer_tables
 
 HERE = Path(__file__).resolve().parent
 
@@ -47,7 +46,8 @@ def _case(n, pattern, order, iterations, taps=((1.0, 0),), workers=1):
 
 
 # N = 64 runs 7 iterations, all in one frame-tensor chunk (a chunk holds 45
-# there); N = 4096 runs 2 iterations, one per chunk
+# there); N = 4096 runs 2 iterations, one per chunk. n64_random_q8_two_chunks
+# runs 50, so that a golden crosses a chunk boundary at small N: chunks of 45 and 5
 CASES = {
     f"n{n}_{pattern}_q{order}": _case(n, pattern, order, 7 if n == 64 else 2)
     for n in (64, 4096)
@@ -57,6 +57,7 @@ CASES = {
 CASES["n64_comb_q16_multipath_inside_cp"] = _case(64, "comb", 16, 7, _INSIDE_CP)
 CASES["n64_random_q4_multipath_beyond_cp"] = _case(64, "random", 4, 7, _BEYOND_CP)
 CASES["n64_random_q8_workers2"] = _case(64, "random", 8, 7, workers=2)
+CASES["n64_random_q8_two_chunks"] = _case(64, "random", 8, 50)
 
 
 def render(name: str) -> bytes:
@@ -72,7 +73,7 @@ def margin(name: str) -> float:
     seen, demap = [], harness.demap_symbols
 
     def spy(symbols, c):
-        for x, t in zip((symbols.real, symbols.imag), _slicer_tables(c.order)[0]):
+        for x, t in zip((symbols.real, symbols.imag), c.thresholds):
             seen.append(np.abs(x[:, None] - t).min())
         return demap(symbols, c)
 

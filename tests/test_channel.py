@@ -31,6 +31,9 @@ def test_channel_model_validation():
         ChannelModel(((1.0, -1),))
     with pytest.raises(InvalidConfiguration):
         ChannelModel(((1.0, 0), (0.5, 0)))
+    for gain in (math.nan, math.inf, -math.inf, complex(0, math.nan)):
+        with pytest.raises(InvalidConfiguration, match="tap gain must be finite"):
+            ChannelModel(((1.0, 0), (gain, 2)))
 
 
 def test_taps_sorted_by_delay():

@@ -203,6 +203,14 @@ def test_emit_constellation_to_file(tmp_path):
     assert lines[1] == f"0,00,{s2!r},{s2!r}"
 
 
+def test_non_finite_tap_gain_exits_two(tmp_path, capsys):
+    profile = tmp_path / "channel.txt"
+    profile.write_text("0 nan 0\n")
+    out = tmp_path / "result.csv"
+    with mock.patch("ofdmsim.cli.run_sweep", side_effect=AssertionError("swept")):
+        _one_line_exit_two(capsys, main(_args(out, ("--channel", str(profile)))), out)
+
+
 def test_spectral_null_fails_before_any_sweep(tmp_path, capsys):
     profile = tmp_path / "null.txt"
     profile.write_text("0 1 0\n1 1 0\n")

@@ -18,6 +18,12 @@ def test_csv_matches_golden(name):
     assert regen.render(name) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_every_golden_csv_has_a_case_and_a_margin():
+    # a CSV without a case would never be compared
+    csvs = {path.stem for path in GOLDEN.glob("*.csv")}
+    assert csvs == set(json.loads((GOLDEN / "margins.json").read_text())) == set(regen.CASES)
+
+
 def test_workers_share_one_golden():
     assert (GOLDEN / "n64_random_q8_workers2.csv").read_bytes() == (
         GOLDEN / "n64_random_q8.csv"

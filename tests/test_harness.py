@@ -853,6 +853,23 @@ def test_chunk_allocates_under_two_frames():
     assert peak <= 2 * frame_bytes
 
 
+def _warm_peak(spec):
+    run_ber_point(spec, 6.0)
+    tracemalloc.start()
+    try:
+        run_ber_point(spec, 9.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_short_last_chunk_views_the_workspace_of_the_full_ones():
+    # 120 iterations at N = 64 run chunks of 45, 45 and 30. When the short chunk took a workspace
+    # shape of its own, while views of the first were still held, the point peaked at 3 736 kB
+    full = _warm_peak(_spec(n=64, pattern="random", order=8, pilots=8, iterations=90))
+    assert _warm_peak(_spec(n=64, pattern="random", order=8, pilots=8, iterations=120)) <= 1.05 * full
+
+
 def test_threads_sharing_a_chunk_shape_match_sequential_runs():
     # each thread has its own workspace; a short switch interval interleaves
     # four threads on the same chunk shape often

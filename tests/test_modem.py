@@ -93,8 +93,16 @@ def test_gray_adjacency(order):
 
 @pytest.mark.parametrize("order", [2, 3, 32, 64, 0])
 def test_unsupported_order(order):
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(UnsupportedOrder, match=r"one of \(4, 8, 16\)"):
         build_constellation(order)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_one_read_only_constellation_per_order(order):
+    c = build_constellation(order)
+    assert build_constellation(order) is c
+    for a in (c.points, *c.thresholds, c.label_bits):
+        assert not a.flags.writeable
 
 
 def test_qpsk_label_table():
