@@ -103,7 +103,7 @@ def load_channel_profile(path) -> ChannelModel:
 
     Blank lines and '#' comments are ignored.
     """
-    taps = []
+    taps, lines = [], {}  # lines: the line that gave each delay
     for lineno, line in read_lines(path):
         parts = line.split()
         if len(parts) != 3:
@@ -113,8 +113,12 @@ def load_channel_profile(path) -> ChannelModel:
         try:
             delay = int(parts[0])
             gain = complex(float(parts[1]), float(parts[2]))
-        except ValueError as exc:
+            ChannelModel(((gain, delay),))  # the checks of one tap
+        except (ValueError, InvalidConfiguration) as exc:
             raise InvalidConfiguration(f"{path}:{lineno}: {exc}") from exc
+        if delay in lines:
+            raise InvalidConfiguration(f"{path}:{lineno}: tap delay {delay} repeats line {lines[delay]}")
+        lines[delay] = lineno
         taps.append((gain, delay))
     if not taps:
         raise InvalidConfiguration(f"{path}: no channel taps found")

@@ -1,4 +1,6 @@
-"""Exception types raised by the simulator."""
+"""Exception types raised by the simulator, and the integer check of a count."""
+
+import operator
 
 
 class OfdmSimError(Exception):
@@ -39,3 +41,12 @@ class EmptyInput(OfdmSimError):
 
 class NonPositiveRefPower(OfdmSimError):
     """Reference power for noise calibration must be > 0."""
+
+
+def int_field(name: str, value) -> int:
+    """value as operator.index gives it, which takes Python and numpy integers; anything else, a float
+    such as 2.5 too, raises InvalidConfiguration naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfiguration(f"{name} must be an integer, got {value!r}") from None

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel, add_awgn, apply_multipath, signal_power
-from .errors import InvalidConfiguration, OfdmSimError, SingularChannelGain
+from .errors import InvalidConfiguration, OfdmSimError, SingularChannelGain, int_field
 from .modem import _write_lines, build_constellation, demap_symbols, map_bits
-from .numerics import BLOCK, box_muller, q_function, seeded_stream, workspace
+from .numerics import box_muller, q_function, seeded_stream, workspace
 from .ofdm import (
     OfdmConfig,
-    _fixed_pilots,
     allocate_subcarriers,
     build_frequency_symbol,
     channel_frequency_response,
@@ -41,6 +40,7 @@ from .ofdm import (
     extract_data,
     ofdm_demodulate,
     ofdm_modulate,
+    read_range,
 )
 
 # per-iteration child stream tags
@@ -52,7 +52,7 @@ _TAG_ALLOC = 3
 # noise once, then received at every SNR, so every stage and the chunk's set-up cost one call per chunk: 45
 # iterations at N = 64 with 10 symbols, 11 at N = 256, one from N = 2048 up (BENCH_8.json). Below 46 080 samples
 # an N = 4096 chunk stays one iteration. For the chunk shape of its last call each thread keeps three frame
-# tensors and the unit noise (2 211 840 + 655 360 B at N = 4096, cp 512, 10 comb symbols).
+# tensors and the unit noise (2 211 840 + 729 088 B at N = 4096, cp 512, 10 comb symbols).
 _CHUNK_SAMPLES = 32_768
 
 # Helper processes of each pid: a lock and its (process, pipe end) pairs. A
@@ -81,6 +81,8 @@ class SweepSpec:
     channel: ChannelModel = field(default_factory=ChannelModel.identity)
 
     def __post_init__(self):
+        for name in ("iterations", "symbols_per_iteration", "seed"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
         if not all(map(math.isfinite, (self.snr_start_db, self.snr_stop_db, self.snr_step_db))):
             raise InvalidConfiguration("snr_start_db, snr_stop_db and snr_step_db must be finite")
         _check_snr(self.snr_start_db)  # the lowest SNR of the grid, so the loudest noise
@@ -166,19 +168,6 @@ def snr_grid(spec: SweepSpec) -> list[float]:
     return [spec.snr_start_db + i * spec.snr_step_db for i in range(count)]
 
 
-def _read_ranges(cfg: OfdmConfig, n_sym: int) -> tuple[tuple[int, int, int], ...]:
-    """(uniforms to skip, start, stop) of each run of frame samples that reach a data bin: data symbol
-    bodies, joined through the prefix between two when N < BLOCK (a draw costs more than a prefix)."""
-    ranges: list[tuple[int, int]] = []
-    for j in np.flatnonzero(~_fixed_pilots(cfg, range(n_sym)).all(axis=1)).tolist():
-        start, stop = j * cfg.samples_per_symbol, (j + 1) * cfg.samples_per_symbol
-        if ranges and ranges[-1][1] == start and cfg.n_subchannels < BLOCK:
-            ranges[-1] = (ranges[-1][0], stop)
-        else:
-            ranges.append((start + cfg.cp_len, stop))
-    return tuple((2 * (start - end), start, stop) for (start, stop), (_, end) in zip(ranges, [(0, 0)] + ranges))
-
-
 def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[tuple[int, int]]:
     """Run iterations in chunks of about _CHUNK_SAMPLES samples. Each chunk's frames are transmitted once, as
     one (iterations x symbols, N) tensor, given their unit noise once, and received at each SNR; return
@@ -188,12 +177,11 @@ def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[
     const = build_constellation(cfg.mod_order)
     h = channel_frequency_response(spec.channel, cfg.n_subchannels)
     h[~data_bins(cfg, n_sym)] = 1.0  # bins that only carry pilots are never read back
-    spans = _read_ranges(cfg, n_sym)
-    cols = np.cumsum([0, *(stop - start for _, start, stop in spans)]).tolist()  # each span's place in unit
+    start, stop = read_range(cfg, n_sym)
     step = max(1, _CHUNK_SAMPLES // (n_sym * cfg.samples_per_symbol))
     frames = min(step, len(iterations))  # one workspace shape per call: every chunk takes leading views of it
     chunk = workspace("chunk", (3, frames * n_sym * cfg.samples_per_symbol))
-    units = workspace("noise", (frames, cols[-1]))
+    units = workspace("noise", (frames, stop - start))
     errors, bits = [0] * len(snrs), 0
     for first in range(iterations.start, iterations.stop, step):
         streams = [seeded_stream(spec.seed, i) for i in range(first, min(first + step, iterations.stop))]
@@ -207,22 +195,20 @@ def _frame_chunk(spec: SweepSpec, snrs: list[float], iterations: range) -> list[
         grid = a[: rows * cfg.n_subchannels].reshape(rows, -1)
         build_frequency_symbol(map_bits(tx_bits, const, out=b[:n_data]), smap, cfg, out=grid)
 
-        # one row per frame, from silence. Its unit noise is drawn once, only where the receiver reads it, each
-        # sample at its own stream position, and every SNR scales that same noise. At +inf alone none is read or drawn
+        # one row per frame, from silence. Its unit noise is drawn once, on the one range the receiver reads from,
+        # each sample at its own stream position, and every SNR scales that same noise. At +inf alone none is drawn
         tx = ofdm_modulate(grid, cfg, out=b.reshape(rows, -1)).reshape(len(streams), -1)
         faded = apply_multipath(tx, spec.channel, out=a.reshape(len(streams), -1))
         power = signal_power(tx)[:, None]
         unit = units[: len(streams)]
         if any(snr_db < math.inf for snr_db in snrs):
             for noise, row in zip([s.child(_TAG_NOISE) for s in streams], unit):
-                for (gap, _, _), p, q in zip(spans, cols, cols[1:]):
-                    noise.skip(gap)
-                    noise.uniforms(2 * (q - p), out=row[p:q].view(np.float64))
+                noise.skip(2 * start)
+                noise.uniforms(2 * (stop - start), out=row.view(np.float64))
             box_muller(unit.view(np.float64))
         rx_grid = c[: rows * cfg.n_subchannels].reshape(rows, -1)
         for k, snr_db in enumerate(snrs):
-            for (_, start, stop), p, q in zip(spans, cols, cols[1:]):
-                add_awgn(faded[:, start:stop], snr_db, power, unit[:, p:q], out=tx[:, start:stop])
+            add_awgn(faded[:, start:stop], snr_db, power, unit, out=tx[:, start:stop])
             ofdm_demodulate(tx.reshape(rows, -1), cfg, out=rx_grid)
             data = extract_data(equalize(rx_grid, h, out=rx_grid), smap, out=b[:n_data])
             errors[k] += int(np.count_nonzero(demap_symbols(data, const) != tx_bits))
@@ -280,7 +266,9 @@ def _map_on_helpers(fn, calls: list[tuple]) -> list:
 def _run_points(spec: SweepSpec, snrs: list[float], workers: int) -> list[BerPoint]:
     """One BerPoint per SNR from one _frame_chunk call per contiguous run of iterations, each run at
     every SNR: in this process, or on up to one helper per usable CPU."""
-    snrs = [_check_snr(snr_db) for snr_db in snrs]  # every SNR checked before any draw
+    snrs = [_check_snr(snr_db) for snr_db in snrs]  # every SNR and the worker count checked before any draw
+    if int_field("workers", workers) < 1:
+        raise InvalidConfiguration(f"workers must be >= 1, got {workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     samples = len(snrs) * spec.iterations * spec.symbols_per_iteration * spec.cfg.samples_per_symbol
     workers = max(1, min(workers, cpus, spec.iterations, samples // _HELPER_MIN_SAMPLES))

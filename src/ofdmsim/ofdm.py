@@ -18,7 +18,7 @@ import numpy as np
 
 from . import transform
 from .channel import ChannelModel
-from .errors import InvalidConfiguration, LengthMismatch, PilotCountExceedsN, SingularChannelGain
+from .errors import InvalidConfiguration, LengthMismatch, PilotCountExceedsN, SingularChannelGain, int_field
 from .modem import build_constellation
 from .numerics import RngStream, child_uniforms
 
@@ -44,6 +44,10 @@ class OfdmConfig:
     block_period: ClassVar[int] = 8
 
     def __post_init__(self):
+        object.__setattr__(self, "n_subchannels", int_field("n_subchannels", self.n_subchannels))
+        for name in ("cp_len", "pilot_count"):  # None takes the default
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int_field(name, getattr(self, name)))
         n = self.n_subchannels
         if not transform.is_power_of_two(n):
             raise InvalidConfiguration(f"n_subchannels must be a power of 2, got {n}")
@@ -125,6 +129,16 @@ def data_bins(cfg: OfdmConfig, n_symbols: int) -> np.ndarray:
     frame. Only fixed pilots can hold a bin in every symbol, so every bin
     carries data under random pilots."""
     return ~_fixed_pilots(cfg, range(n_symbols)).all(axis=0)
+
+
+def read_range(cfg: OfdmConfig, n_symbols: int) -> tuple[int, int]:
+    """(start, stop) of the frame samples from the body of the first symbol
+    that carries data to the end of the last one; empty when none does. The
+    receiver reads no sample outside it."""
+    data = np.flatnonzero(~_fixed_pilots(cfg, range(n_symbols)).all(axis=1)).tolist()
+    if not data:
+        return 0, 0
+    return data[0] * cfg.samples_per_symbol + cfg.cp_len, (data[-1] + 1) * cfg.samples_per_symbol
 
 
 def allocate_subcarriers(

@@ -211,6 +211,25 @@ def test_non_finite_tap_gain_exits_two(tmp_path, capsys):
         _one_line_exit_two(capsys, main(_args(out, ("--channel", str(profile)))), out)
 
 
+@pytest.mark.parametrize(
+    "lines, bad_line",
+    [
+        (["1 1 0", "0 nan 0"], 2),
+        (["-1 1 0"], 1),
+        (["0 1 0", "# an echo", "3 0.3 0", "0 0.5 0"], 4),  # repeats the delay of line 1
+    ],
+)
+def test_invalid_tap_names_its_file_and_line(tmp_path, capsys, lines, bad_line):
+    profile = tmp_path / "channel.txt"
+    profile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "result.csv"
+    with mock.patch("ofdmsim.cli.run_sweep", side_effect=AssertionError("swept")):
+        assert main(_args(out, ("--channel", str(profile)))) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ofdmsim: invalid configuration: {profile}:{bad_line}: ")
+    assert not out.exists()
+
+
 def test_spectral_null_fails_before_any_sweep(tmp_path, capsys):
     profile = tmp_path / "null.txt"
     profile.write_text("0 1 0\n1 1 0\n")

@@ -916,6 +916,31 @@ def test_noiseless_point_after_a_noisy_one_is_error_free():
     assert run_ber_point(spec, math.inf).bit_errors == 0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_subchannels", 64.0), ("cp_len", 2.5), ("pilot_count", 2.5), ("iterations", 2.5),
+     ("symbols_per_iteration", 2.5), ("seed", 1.5), ("workers", 1.5), ("workers", 0)],
+)
+def test_a_count_that_is_not_a_positive_integer_raises_before_any_draw(field, value):
+    with mock.patch.object(harness, "seeded_stream", side_effect=AssertionError("drew")), \
+            pytest.raises(InvalidConfiguration, match=f"^{field} must be"):
+        if field in ("n_subchannels", "cp_len", "pilot_count"):
+            OfdmConfig(**{"n_subchannels": 64, field: value})
+        elif field == "workers":
+            run_ber_point(_spec(n=64, pilots=8, iterations=2), 6.0, workers=value)
+        else:
+            _spec(n=64, pilots=8, **{field: value})
+
+
+def test_numpy_integer_counts_run_as_python_ints():
+    cfg = OfdmConfig(n_subchannels=np.int64(64), cp_len=np.int32(8), pilot_count=np.uint8(8))
+    spec = SweepSpec(cfg=cfg, iterations=np.int16(3), symbols_per_iteration=np.int64(4), seed=np.uint64(2**63 + 5))
+    assert all(type(v) is int for v in (cfg.n_subchannels, cfg.cp_len, cfg.pilot_count, spec.iterations, spec.seed))
+    plain = SweepSpec(cfg=OfdmConfig(n_subchannels=64, cp_len=8, pilot_count=8), iterations=3,
+                      symbols_per_iteration=4, seed=2**63 + 5)
+    assert run_ber_point(spec, 6.0, workers=np.int64(1)) == run_ber_point(plain, 6.0)
+
+
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -1e308, -3082.55])
 def test_snr_without_a_finite_noise_power_raises_before_any_draw(snr_db):
     spec = _spec(n=64, iterations=2, pilots=8)
@@ -946,25 +971,24 @@ def test_extreme_snrs_that_have_a_noise_power_run_without_warnings():
     seed=st.integers(0, 2**64 - 1),
 )
 def test_samples_outside_the_read_ranges_never_reach_data(log_n, cp_frac, pattern, n_sym, seed):
-    # N runs from 8 to twice harness.BLOCK, so both the merged and the split ranges are taken
+    # one range per frame, from the body of the first symbol with a data bin to the end of the last one
     n = 1 << log_n
     cfg = OfdmConfig(n_subchannels=n, cp_len=int(cp_frac * n), pilot_pattern=pattern)
-    ranges = harness._read_ranges(cfg, n_sym)
-    ends = [0] + [edge for _, start, stop in ranges for edge in (start, stop)] + [n_sym * cfg.samples_per_symbol]
-    assert ends == sorted(ends)  # disjoint, ascending and inside the frame: the stream only moves forward
-    assert [gap for gap, _, _ in ranges] == [2 * (b - a) for a, b in zip(ends[:-2:2], ends[1::2])]
-    if n >= harness.BLOCK:
-        assert all(stop - start == n for _, start, stop in ranges)
-    rx = np.full(n_sym * cfg.samples_per_symbol, np.nan, dtype=np.complex128)
-    for _, start, stop in ranges:
-        rx[start:stop] = 1.0 - 0.5j
     smap = allocate_subcarriers(cfg, range(n_sym), [seeded_stream(seed)])
+    rows = np.unique(smap.data_indices // n).tolist()
+    start, stop = ofdm.read_range(cfg, n_sym)
+    if rows:
+        assert (start, stop) == (rows[0] * cfg.samples_per_symbol + cfg.cp_len, (rows[-1] + 1) * cfg.samples_per_symbol)
+    else:
+        assert (start, stop) == (0, 0)
+    rx = np.full(n_sym * cfg.samples_per_symbol, np.nan, dtype=np.complex128)
+    rx[start:stop] = 1.0 - 0.5j
     grid = ofdm_demodulate(rx.reshape(n_sym, -1), cfg)
     data = extract_data(equalize(grid, np.ones(n)), smap)
     assert data.size == smap.data_indices.size and np.isfinite(data).all()
 
 
-@pytest.mark.parametrize("pattern", ["comb", "block", "random"])
+@pytest.mark.parametrize("pattern, n_sym", [("comb", 10), ("block", 10), ("random", 10), ("block", 17)])
 @pytest.mark.parametrize(
     "cp_len, taps",
     [
@@ -973,27 +997,25 @@ def test_samples_outside_the_read_ranges_never_reach_data(log_n, cp_frac, patter
         (512, ((1.0, 0), (0.3j, 700))),  # an echo beyond the prefix leaks into the next body
     ],
 )
-def test_split_read_ranges_match_oracle_at_n4096(pattern, cp_len, taps):
-    # the small-spec oracle stops at N = 128, below harness.BLOCK, so it only sees merged ranges
+def test_read_ranges_match_oracle_at_n4096(pattern, n_sym, cp_len, taps):
+    # the small-spec oracle stops at N = 128. 17 block symbols hold only pilots in symbols 0, 8 and 16:
+    # symbol 8 lies inside the read range and symbol 16 after it
     cfg = OfdmConfig(n_subchannels=4096, cp_len=cp_len, pilot_pattern=pattern, mod_order=16)
-    spec = SweepSpec(cfg=cfg, iterations=1, channel=ChannelModel(taps))
+    spec = SweepSpec(cfg=cfg, iterations=1, symbols_per_iteration=n_sym, channel=ChannelModel(taps))
     pt = run_ber_point(spec, 6.0)
     assert pt.bit_errors > 0
     assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 6.0)
 
 
 def test_read_ranges_follow_a_patched_block():
-    # N = 32 with 10 block-pilot symbols: two merged ranges at the real BLOCK,
-    # eight single bodies once BLOCK is patched down to N; the 3 iterations are
-    # one chunk, which adds its noise with one call per range
+    # N = 32 with 10 block-pilot symbols: symbols 0 and 8 hold only pilots, so the one range runs from the
+    # body of symbol 1 to the end of symbol 9; the 3 iterations are one chunk, which adds its noise with one
+    # call per SNR
     cfg = OfdmConfig(n_subchannels=32, cp_len=4, pilot_pattern="block", mod_order=16)
     spec = SweepSpec(cfg=cfg, iterations=3, channel=ChannelModel(((1.0, 0), (0.3j, 5))))
-    calls = []
-    for block in (harness.BLOCK, 32, harness.BLOCK):
-        with mock.patch.object(harness, "BLOCK", block), \
-                mock.patch.object(harness, "add_awgn", wraps=harness.add_awgn) as awgn:
-            pt = run_ber_point(spec, 4.0)
-        calls.append(awgn.call_count)
-        assert (pt.bit_errors, pt.bits_total) == _oracle_point(spec, 4.0)
-    assert calls == [2, 8, 2]
-    assert harness._read_ranges(cfg, 10) == ((80, 40, 288), (80, 328, 360))
+    snrs = [4.0, 10.0]
+    with mock.patch.object(harness, "add_awgn", wraps=harness.add_awgn) as awgn:
+        points = harness._run_points(spec, snrs, 1)
+    assert awgn.call_count == len(snrs)
+    assert [(pt.bit_errors, pt.bits_total) for pt in points] == [_oracle_point(spec, snr_db) for snr_db in snrs]
+    assert ofdm.read_range(cfg, 10) == (40, 360)

@@ -43,22 +43,29 @@ def test_traced_point_counts_every_transform_row():
     assert tracer.self_ns["transform.fft_s"] > 0 and tracer.self_ns["transform.ifft_s"] > 0
 
 
-def test_traced_block_point_draws_noise_only_on_read_samples():
-    # ten symbols at N = 4096 with block pilots: symbols 0 and 8 hold only pilots, so
-    # noise lands on the 8 data bodies and on no prefix; the pilot values are not counted
-    n, data_symbols = 4096, 8
-    spec = SweepSpec(cfg=OfdmConfig(n_subchannels=n, pilot_pattern="block", mod_order=16), iterations=1)
+@pytest.mark.parametrize(
+    "pattern, bits, read_samples",
+    [
+        # symbols 0 and 8 hold only pilots: 8 data symbols, read from the body of symbol 1 to the end of symbol 9
+        ("block", 131_072, 40_960),
+        # 512 pilots a symbol: 10 data symbols, read from the first body to the end of the frame
+        ("comb", 143_360, 45_568),
+        ("random", 143_360, 45_568),
+    ],
+    ids=["block", "comb", "random"],
+)
+def test_traced_n4096_point_draws_noise_on_one_range_per_frame(pattern, bits, read_samples):
+    # ten 16-QAM symbols at N = 4096, cp 512: the pilot values and random pilot rows are not counted
+    spec = SweepSpec(cfg=OfdmConfig(n_subchannels=4096, pilot_pattern=pattern, mod_order=16), iterations=1)
     with spans.Tracer(spans.point_targets()) as tracer:
         harness.run_ber_point(spec, 6.0)
-    bits = 4 * n * data_symbols
-    read_samples = n * data_symbols
     assert tracer.counts["numerics.uniforms_drawn"] == bits + 2 * read_samples
     assert tracer.self_ns["channel.awgn_self_s"] > 0
 
 
 def test_traced_random_point_counts_bits_and_noise_but_no_pilot_row():
-    # N = 64, 8 random pilots: the rows' pilot indices and values are not counted; N < BLOCK
-    # joins the prefixes between bodies, so noise is read from the first body to the end of the frame
+    # N = 64, 8 random pilots: the rows' pilot indices and values are not counted; every symbol
+    # carries data, so each frame's read range runs from the first body to the end of the frame
     n, pilots, order_bits = 64, 8, 3
     cfg = OfdmConfig(n_subchannels=n, pilot_pattern="random", pilot_count=pilots, mod_order=8)
     spec = SweepSpec(cfg=cfg, iterations=100)
